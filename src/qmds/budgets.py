@@ -26,8 +26,7 @@ SUBSCAN_EXACT_CAP = 4096
 SUBSCAN_SAMPLES = 512
 
 # Fixed chunk sizes.  These are tuning constants only: results never depend
-# on them, so worker hints such as QMDS_THREADS may scale batch sizes without
-# touching verdicts, witnesses, or sampled streams.
+# on them.
 ENUM_CHUNK = 4096
 SAMPLE_CHUNK = 4096
 RANK_CHUNK = 16384

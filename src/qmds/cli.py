@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
@@ -45,27 +44,21 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _thread_cap() -> int:
-    """QMDS_THREADS is validated and reserved for batch partitioning.
-
-    Results never depend on it; the current engine runs one vectorized
-    worker.
-    """
-    raw = os.environ.get("QMDS_THREADS", "")
+def _parse_range(text: str) -> tuple[int, int]:
+    """Bounds of "a..b" with a <= b, or of a single "a"."""
+    a, sep, b = text.partition("..")
     try:
-        val = int(raw)
+        start, stop = int(a), int(b if sep else a)
+        if start <= stop:
+            return start, stop
     except ValueError:
-        return 1
-    return max(val, 1)
+        pass
+    raise QmdsError(f"malformed range {text!r}, expected a..b with a <= b")
 
 
 def _parse_weight_range(text: str, lo: int, hi: int) -> range:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        start, stop = int(a), int(b)
-    else:
-        start = stop = int(text)
-    if start < lo or stop > hi or start > stop:
+    start, stop = _parse_range(text)
+    if start < lo or stop > hi:
         raise QmdsError(f"weight range {text!r} outside {lo}..{hi}")
     return range(start, stop + 1)
 
@@ -287,10 +280,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_conjectures(args, out) -> int:
     budget = _budget(args)
-    lo, hi = (int(t) for t in args.q.split("..", 1)) if ".." in args.q else (
-        int(args.q),
-        int(args.q),
-    )
+    lo, hi = _parse_range(args.q)
     rows = conjecture_report(range(lo, hi + 1), budget)
     ms = [m for m in (1, 2, 3, 4) if lo <= 2**m <= hi]
     table = distance4_char2_report(ms, budget) if ms else []
@@ -611,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     out = _Out(args.output)

@@ -1,9 +1,10 @@
 """Search kernels: exact linear algebra helpers plus the vectorized engines
 behind weight searches.
 
-Everything here stays exact.  The numpy paths do field arithmetic through
-per-field lookup tables (uint8 in, uint8 out), so they are just a faster way
-to run the same integer computation.
+Everything here stays exact.  The numpy paths take and return uint8 field
+elements.  Over a prime field GF(p) they compute with integers reduced mod p;
+over other fields they go through per-field lookup tables.  Either way they
+are just a faster way to run the same integer computation.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .budgets import (
     SUBSCAN_EXACT_CAP,
     SUBSCAN_SAMPLES,
 )
+from .gf import MAX_TABLE_ORDER
 
 
 def np_matrix(field, rows, ncols: int) -> np.ndarray:
@@ -31,7 +33,15 @@ def np_matrix(field, rows, ncols: int) -> np.ndarray:
 
 
 def gf_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact (x, k) @ (k, y) product over the field."""
+    """Exact (x, k) @ (k, y) product over the field: the one encode kernel.
+
+    Over GF(p) this is an int32 matmul reduced mod p, used while the k
+    products of at most (p-1)**2 each cannot overflow int32; otherwise a
+    loop of table gathers.
+    """
+    p = field.p
+    if field.m == 1 and p <= MAX_TABLE_ORDER and a.shape[1] * (p - 1) ** 2 < 2**31:
+        return (a.astype(np.int32) @ b.astype(np.int32) % p).astype(np.uint8)
     t = field.np_tables()
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
     for j in range(a.shape[1]):
@@ -86,9 +96,20 @@ def null_space(field, rows, ncols: int):
     return basis
 
 
+def _elimination_prime(field) -> int:
+    """p when batch_rank can eliminate over GF(p) in uint8 integers, else 0.
+
+    A row update forms sub + (p-1)*fac*prow before reducing it mod p.  Its
+    largest value (p-1) + (p-1)**3 must fit uint8, which holds for p <= 7.
+    """
+    p = field.p
+    return p if field.m == 1 and (p - 1) + (p - 1) ** 3 <= 255 else 0
+
+
 def batch_rank(field, mats: np.ndarray) -> np.ndarray:
     """Ranks of a (B, r, w) stack of matrices by lockstep elimination."""
     t = field.np_tables()
+    p = _elimination_prime(field)
     m = np.array(mats, dtype=np.uint8, copy=True)
     nb, r, w = m.shape
     if nb == 0:
@@ -106,11 +127,15 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
         piv = np.argmax(cand[act], axis=1)
         prow = sub[ar, piv, :].copy()
         sub[ar, piv, :] = sub[ar, lr, :]
-        prow = t.mul[prow, t.inv[prow[ar, col]][:, None]]
+        inv = t.inv[prow[ar, col]][:, None]
+        prow = prow * inv % p if p else t.mul[prow, inv]
         sub[ar, lr, :] = prow
         below = rows[None, :] > lr[:, None]
         fac = np.where(below, sub[:, :, col], 0)
-        sub = t.sub[sub, t.mul[fac[:, :, None], prow[:, None, :]]]
+        if p:
+            sub = (sub + (p - 1) * fac[:, :, None] * prow[:, None, :]) % p
+        else:
+            sub = t.sub[sub, t.mul[fac[:, :, None], prow[:, None, :]]]
         m[act] = sub
         lead[act] = lr + 1
     return lead
@@ -129,31 +154,29 @@ def _counter_digits(start: int, cnt: int, ndigits: int, q: int) -> np.ndarray:
     return out
 
 
-def iter_projective_words(field, gen, chunk: int = ENUM_CHUNK):
+def iter_projective_words(field, gen, chunk: int = ENUM_CHUNK, leads: int | None = None):
     """Yield word chunks covering every projective class of the row space.
 
     The visiting order is fixed: lead row index ascending, then the tail
     message as a base-q counter.  Witness extraction that takes the first
     hit in this order is therefore deterministic.
+
+    With leads=e only the first e rows lead, so the words are those of the
+    row space outside the span of the last k - e rows, one per projective
+    class of the first e rows' coefficients.
     """
-    t = field.np_tables()
     g = np.array([list(r) for r in gen], dtype=np.uint8)
     k = g.shape[0]
     q = field.q
-    for lead in range(k):
+    for lead in range(k if leads is None else leads):
         tail = k - lead - 1
         total = q**tail
         done = 0
         while done < total:
             cnt = int(min(chunk, total - done))
-            words = np.repeat(g[lead][None, :], cnt, axis=0)
-            if tail:
-                msgs = _counter_digits(done, cnt, tail, q)
-                for j in range(tail):
-                    col = msgs[:, j]
-                    if col.any():
-                        words = t.add[words, t.mul[col[:, None], g[lead + 1 + j][None, :]]]
-            yield words
+            # counting from q**tail makes the leading digit 1: the lead row
+            msgs = _counter_digits(total + done, cnt, tail + 1, q)
+            yield gf_matmul(field, msgs, g[lead:])
             done += cnt
 
 
@@ -168,7 +191,6 @@ def iter_sampled_words(field, gen, count: int, seed: int, tag: int = 0x5A):
     The stream depends on (seed, tag, count) only; chunk size is a fixed
     constant so partitioning hints can never change what gets drawn.
     """
-    t = field.np_tables()
     g = np.array([list(r) for r in gen], dtype=np.uint8)
     k = g.shape[0]
     q = field.q
@@ -177,12 +199,7 @@ def iter_sampled_words(field, gen, count: int, seed: int, tag: int = 0x5A):
     while remaining > 0:
         cnt = int(min(SAMPLE_CHUNK, remaining))
         msgs = rng.integers(0, q, size=(cnt, k), dtype=np.uint8)
-        words = np.zeros((cnt, g.shape[1]), dtype=np.uint8)
-        for j in range(k):
-            col = msgs[:, j]
-            if col.any():
-                words = t.add[words, t.mul[col[:, None], g[j][None, :]]]
-        yield msgs, words
+        yield msgs, gf_matmul(field, msgs, g)
         remaining -= cnt
 
 
@@ -228,15 +245,9 @@ def probe_support(field, parity_np, support, need_full, reject, seed, tag):
             if hit is not None:
                 return hit, True
         return None, True
-    t = field.np_tables()
-    bnp = np.array(basis, dtype=np.uint8)
     rng = philox(seed, tag)
     msgs = rng.integers(0, q, size=(SUBSCAN_SAMPLES, len(basis)), dtype=np.uint8)
-    words = np.zeros((SUBSCAN_SAMPLES, w), dtype=np.uint8)
-    for j in range(len(basis)):
-        col = msgs[:, j]
-        if col.any():
-            words = t.add[words, t.mul[col[:, None], bnp[j][None, :]]]
+    words = gf_matmul(field, msgs, np.array(basis, dtype=np.uint8))
     hit = _first_passing(field, words, need_full, reject)
     return hit, False
 

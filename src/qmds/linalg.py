@@ -336,7 +336,7 @@ def min_weight_relative(
     if classes <= budget.enum:
         best, bw = None, None
         rows = [tuple(r) for r in ext] + [tuple(r) for r in sub.gen]
-        for words in _iter_relative_words(f, rows, e):
+        for words in kernels.iter_projective_words(f, rows, leads=e):
             weights = (words != 0).sum(axis=1)
             i = int(np.argmin(weights))
             if best is None or weights[i] < best:
@@ -376,26 +376,3 @@ def min_weight_relative(
     if best is not None and best == floor:
         return WeightResult(best, bw, "exact", floor)
     return WeightResult(best, bw, "lower_bound_only", floor)
-
-
-def _iter_relative_words(field, rows, e):
-    """Projective sweep of the first e rows, full sweep of the rest."""
-    t = field.np_tables()
-    g = np.array([list(r) for r in rows], dtype=np.uint8)
-    q = field.q
-    k_sub = g.shape[0] - e
-    sub_total = q**k_sub
-    for lead in range(e):
-        tail = e - lead - 1
-        total = (q**tail) * sub_total
-        done = 0
-        while done < total:
-            cnt = int(min(4096, total - done))
-            msgs = kernels._counter_digits(done, cnt, tail + k_sub, q)
-            words = np.repeat(g[lead][None, :], cnt, axis=0)
-            for j in range(tail + k_sub):
-                col = msgs[:, j]
-                if col.any():
-                    words = t.add[words, t.mul[col[:, None], g[lead + 1 + j][None, :]]]
-            yield words
-            done += cnt

@@ -58,7 +58,8 @@ class PunctureCode:
         self.found: dict[int, tuple] = {}
         self.absent: set[int] = set()
         self.exact_counts: list[int] | None = None
-        self.sampled = False
+        # (samples, seed) of the last sampling pass; None before the first
+        self.sampled: tuple[int, int] | None = None
 
     def __repr__(self):
         return f"P({self.parent}) = {self.base!r} via {self.source}"
@@ -154,7 +155,7 @@ def _ensure_enumerated(pc: PunctureCode) -> None:
 
 
 def _ensure_sampled(pc: PunctureCode, budget: SearchBudget) -> None:
-    if pc.sampled:
+    if pc.sampled == (budget.samples, budget.seed):
         return
     base = pc.base
     for _, words in kernels.iter_sampled_words(
@@ -162,7 +163,7 @@ def _ensure_sampled(pc: PunctureCode, budget: SearchBudget) -> None:
     ):
         weights = (words != 0).sum(axis=1)
         _record_found(pc, weights, words)
-    pc.sampled = True
+    pc.sampled = (budget.samples, budget.seed)
 
 
 def _enum_fits(pc: PunctureCode, budget: SearchBudget) -> bool:

@@ -175,6 +175,22 @@ def test_figdata_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ("weights", "5", "4", "--range", "5..x"),
+    ("weights", "5", "4", "--range", "x"),
+    ("weights", "5", "4", "--range", "5.."),
+    ("conjectures", "--q", "2..x"),
+    ("conjectures", "--q", "x"),
+    ("conjectures", "--q", "5..2"),
+])
+def test_malformed_range_is_a_usage_error(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_thread_env_is_tolerated(capsys, monkeypatch):
     monkeypatch.setenv("QMDS_THREADS", "not-a-number")
     status, _ = run_json(capsys, "field", "3")

@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from qmds.budgets import SUBSCAN_EXACT_CAP
+from qmds.budgets import SAMPLE_CHUNK, SUBSCAN_EXACT_CAP
 from qmds.gf import build_field
 from qmds.kernels import (
+    _elimination_prime,
     batch_rank,
     gf_matmul,
     iter_projective_words,
@@ -26,22 +27,41 @@ from qmds.linalg import linear_code
 
 import oracles
 
+F2 = build_field(2, 1)
 F3 = build_field(3, 1)
 F4 = build_field(2, 2)
+F5 = build_field(5, 1)
+F7 = build_field(7, 1)
 F9 = build_field(3, 2)
+F11 = build_field(11, 1)
+F13 = build_field(13, 1)
 
 
 def rand_mat(rng, f, rows, cols):
     return [[rng.randrange(f.q) for _ in range(cols)] for _ in range(rows)]
 
 
-@pytest.mark.parametrize("f", [F3, F4, F9])
+def scalar_encode(f, msg, gen):
+    """sum_j msg[j] * gen[j], one field operation at a time."""
+    word = [0] * len(gen[0])
+    for coef, row in zip(msg, gen):
+        word = [f.add(x, f.mul(int(coef), y)) for x, y in zip(word, row)]
+    return tuple(word)
+
+
+def base_q_digits(value, ndigits, q):
+    return [(value // q**j) % q for j in range(ndigits - 1, -1, -1)]
+
+
+# GF(2), GF(3), GF(5), GF(7) take the integer matmul mod p, GF(4), GF(9) the table loop
+@pytest.mark.parametrize("f", [F3, F4, F9, F2, F5, F7])
 def test_gf_matmul_matches_scalar_product(f):
     rng = random.Random(f.q)
     for _ in range(20):
         a = rand_mat(rng, f, 3, 4)
         b = rand_mat(rng, f, 4, 5)
         got = gf_matmul(f, np_matrix(f, a, 4), np_matrix(f, b, 5))
+        assert got.dtype == np.uint8
         for i in range(3):
             for j in range(5):
                 acc = 0
@@ -88,14 +108,35 @@ def test_null_space_annihilates_and_fills(f):
     assert null_space(f, eye, 4) == []
 
 
-@pytest.mark.parametrize("f", [F3, F4, F9])
+def rank_deficient_mat(rng, f, rows, cols, rank):
+    """A rows x cols matrix of rank at most `rank`: a product through rank."""
+    left = rand_mat(rng, f, rows, rank)
+    right = rand_mat(rng, f, rank, cols)
+    return [list(scalar_encode(f, row, right)) for row in left]
+
+
+# GF(11) and GF(13) are past the uint8 bound of the mod-p elimination and
+# must take the table path to come out right
+@pytest.mark.parametrize("f", [F3, F4, F9, F2, F5, F7, F11, F13])
 def test_batch_rank_matches_per_matrix_rank(f):
     rng = random.Random(30 + f.q)
-    mats = [rand_mat(rng, f, 4, 5) for _ in range(40)]
-    mats.append([[0] * 5 for _ in range(4)])
-    got = batch_rank(f, np.array(mats, dtype=np.uint8))
-    want = [oracles._rank(f, m) for m in mats]
-    assert list(got) == want
+    for r, w in [(4, 5), (6, 3), (3, 7)]:
+        mats = [rand_mat(rng, f, r, w) for _ in range(60)]
+        mats += [rank_deficient_mat(rng, f, r, w, rng.randrange(1, min(r, w)))
+                 for _ in range(60)]
+        mats.append([[0] * w for _ in range(r)])
+        rng.shuffle(mats)
+        got = batch_rank(f, np.array(mats, dtype=np.uint8))
+        want = [len(rref(f, m)[0]) for m in mats]
+        assert list(got) == want
+        assert want == [oracles._rank(f, m) for m in mats]
+        assert min(want) < min(r, w)
+
+
+def test_mod_p_elimination_guard():
+    assert [_elimination_prime(f) for f in (F2, F3, F5, F7)] == [2, 3, 5, 7]
+    for f in (F11, F13, F4, F9):
+        assert _elimination_prime(f) == 0
 
 
 @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 3), (9, 2)])
@@ -115,6 +156,43 @@ def test_projective_iteration_covers_every_class_once(q, k):
         for s in range(1, q):
             scaled.add(tuple(f.mul(s, x) for x in w))
     assert scaled == {tuple(w) for w in oracles.all_codewords(code)}
+
+
+@pytest.mark.parametrize("f", [F2, F3, F5, F7, F4, F9])
+@pytest.mark.parametrize("leads", [None, 1, 2])
+def test_projective_words_follow_scalar_encode_order(f, leads):
+    rng = random.Random(50 + f.q)
+    k, n = 4 if f.q <= 4 else 3, 6
+    gen = rand_mat(rng, f, k, n)
+    want = []
+    for lead in range(k if leads is None else leads):
+        tail = k - lead - 1
+        for counter in range(f.q**tail):
+            msg = [0] * lead + [1] + base_q_digits(counter, tail, f.q)
+            want.append(scalar_encode(f, msg, gen))
+    for chunk in (7, 4096):
+        got = [tuple(int(x) for x in w)
+               for words in iter_projective_words(f, gen, chunk=chunk, leads=leads)
+               for w in words]
+        assert got == want
+
+
+@pytest.mark.parametrize("f", [F2, F5, F7, F4, F9])
+def test_sampled_words_follow_philox_draws_and_scalar_encode(f):
+    rng = random.Random(60 + f.q)
+    k, n = 3, 5
+    gen = rand_mat(rng, f, k, n)
+    count = SAMPLE_CHUNK + 37
+    draws = philox(11, 0x42)
+    seen = 0
+    for msgs, words in iter_sampled_words(f, gen, count, seed=11, tag=0x42):
+        cnt = min(SAMPLE_CHUNK, count - seen)
+        expect = draws.integers(0, f.q, size=(cnt, k), dtype=np.uint8)
+        assert (msgs == expect).all()
+        for msg, word in zip(msgs, words):
+            assert tuple(int(x) for x in word) == scalar_encode(f, msg, gen)
+        seen += cnt
+    assert seen == count
 
 
 def test_philox_streams_are_keyed():

@@ -148,6 +148,23 @@ def test_sampling_finds_high_weight_and_reports_unknown():
     assert low.verdict == "UnknownWithinBudget"
 
 
+def test_sampling_pass_reruns_for_a_new_budget():
+    # GF(25), d=4: k = 17 is past enumeration and support=1 closes the
+    # scan gate, so weight 20 can only come from the sampling pass
+    wide = SearchBudget(support=1, samples=200_000)
+    narrow = SearchBudget(support=1, samples=1)
+    fresh = puncture_spectral(mds_spec(25, 4))
+    assert not fresh.sampled
+    assert weight_present(fresh, 20, wide).verdict == "FoundWitness"
+    assert fresh.sampled
+    pc = puncture_spectral(mds_spec(25, 4))
+    assert weight_present(pc, 20, narrow).verdict == "UnknownWithinBudget"
+    assert pc.sampled
+    again = weight_present(pc, 20, wide)
+    assert again.verdict == "FoundWitness"
+    assert again.witness == weight_present(fresh, 20, wide).witness
+
+
 def test_scan_settles_low_weights_exactly():
     spec = mds_spec(16, 3)
     pc = puncture_spectral(spec)
