@@ -51,14 +51,5 @@ class SearchBudget:
     def with_seed(self, seed: int) -> "SearchBudget":
         return replace(self, seed=seed)
 
-    def lightened(self, enum=None, support=None, samples=None) -> "SearchBudget":
-        """A copy with some ceilings lowered (never raised)."""
-        return SearchBudget(
-            enum=min(self.enum, enum) if enum else self.enum,
-            support=min(self.support, support) if support else self.support,
-            samples=min(self.samples, samples) if samples else self.samples,
-            seed=self.seed,
-        )
-
 
 DEFAULT_BUDGET = SearchBudget()

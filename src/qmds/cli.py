@@ -36,9 +36,6 @@ from .qstab import (
     stabilizer_from_self_orthogonal,
 )
 
-FIGDATA_SUPPORT_CAP = 2_500_000_000
-FIGDATA_SAMPLES_CAP = 10**6
-
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -282,6 +279,8 @@ def cmd_conjectures(args, out) -> int:
     budget = _budget(args)
     lo, hi = _parse_range(args.q)
     rows = conjecture_report(range(lo, hi + 1), budget)
+    if not rows:
+        raise QmdsError(f"alphabet range {args.q!r} holds no supported alphabet")
     ms = [m for m in (1, 2, 3, 4) if lo <= 2**m <= hi]
     table = distance4_char2_report(ms, budget) if ms else []
     out.emit(_canonical({"pc_params": rows, "distance4_char2": table}))
@@ -293,12 +292,7 @@ def cmd_conjectures(args, out) -> int:
 
 
 def cmd_figdata(args, out) -> int:
-    budget = _budget(args)
-    light = budget.lightened(
-        support=min(budget.support, FIGDATA_SUPPORT_CAP),
-        samples=min(budget.samples, FIGDATA_SAMPLES_CAP),
-    )
-    rows = figdata(args.q, light)
+    rows = figdata(args.q, _budget(args))
     out.emit("q,d,n,status")
     for row in rows:
         out.emit(",".join(str(t) for t in row))

@@ -135,14 +135,10 @@ def words_supported_in(code: LinearCode, support) -> LinearCode:
         return code
     cols = [[row[j] for j in outside] for row in code.gen]
     msgs = kernels.null_space(f, [list(c) for c in zip(*cols)], code.k)
-    words = []
-    for m in msgs:
-        w = [0] * code.n
-        for coef, row in zip(m, code.gen):
-            if coef:
-                w = [f.add(x, f.mul(coef, y)) for x, y in zip(w, row)]
-        words.append(w)
-    return linear_code(f, words, code.n)
+    words = kernels.gf_matmul(
+        f, kernels.np_matrix(f, msgs, code.k), kernels.np_matrix(f, code.gen, code.n)
+    )
+    return linear_code(f, words.tolist(), code.n)
 
 
 def shorten(code: LinearCode, coords) -> LinearCode:
@@ -243,63 +239,6 @@ def _mds_witness(code: LinearCode) -> tuple:
     return tuple(vec)
 
 
-def min_weight(code: LinearCode, budget: SearchBudget = DEFAULT_BUDGET) -> WeightResult:
-    """Minimum weight by the strategy ladder.
-
-    Fast exact paths first (MDS rank sweep, then full projective
-    enumeration), then rising support scans, then sampling.  The returned
-    floor is always a proven lower bound, whatever the status.
-    """
-    if code.k == 0:
-        raise ZeroDimensional("zero code has no minimum weight")
-    n, k, q = code.n, code.k, code.field.q
-    if math.comb(n, min(k, n - k)) <= MDS_SUBSET_CAP and mds_verify(code):
-        w = _mds_witness(code)
-        return WeightResult(n - k + 1, w, "exact", n - k + 1)
-    if kernels.projective_count(q, k) <= budget.enum:
-        best, bw = None, None
-        for words in kernels.iter_projective_words(code.field, code.gen):
-            weights = (words != 0).sum(axis=1)
-            i = int(np.argmin(weights))
-            if best is None or weights[i] < best:
-                best = int(weights[i])
-                bw = tuple(int(x) for x in words[i])
-        return WeightResult(best, bw, "exact", best)
-    floor = 1
-    r = n - k
-    for w in range(1, n + 1):
-        if not kernels.level_gate(n, w, k, budget.support):
-            break
-        out = kernels.scan_level(
-            code.field, code.parity_rows, n, w, budget.seed,
-            need_full=False, seed_tag=w,
-        )
-        if out.witness is not None:
-            wt = sum(1 for x in out.witness if x)
-            assert wt == w or (wt < w and wt >= floor)
-            return WeightResult(wt, out.witness, "exact", wt)
-        if out.completed and out.exhaustive:
-            floor = w + 1
-        else:
-            break
-    best, bw = None, None
-    for _, words in kernels.iter_sampled_words(
-        code.field, code.gen, budget.samples, budget.seed, tag=0x31
-    ):
-        weights = (words != 0).sum(axis=1)
-        nz = weights > 0
-        if nz.any():
-            i = int(np.argmin(np.where(nz, weights, n + 1)))
-            if weights[i] and (best is None or int(weights[i]) < best):
-                best = int(weights[i])
-                bw = tuple(int(x) for x in words[i])
-                if best == floor:
-                    break
-    if best is not None and best == floor:
-        return WeightResult(best, bw, "exact", floor)
-    return WeightResult(best, bw, "lower_bound_only", floor)
-
-
 def _extension_rows(big: LinearCode, sub: LinearCode):
     """Rows of big.gen completing a basis of big over the subcode."""
     f = big.field
@@ -312,13 +251,149 @@ def _extension_rows(big: LinearCode, sub: LinearCode):
     return ext
 
 
+def _weight(word) -> int:
+    return sum(1 for x in word if x)
+
+
+class WordSearch:
+    """Which weights occur among the words of code that lie outside sub.
+
+    found keeps the first witness seen per weight, absent the weights a
+    route proved missing.  Three routes fill them: enumerate (exact, every
+    weight), scan (one support level) and sample (witnesses only).  Every
+    route visits words in a fixed order, so each witness is the first word
+    of its weight in that order.
+    """
+
+    def __init__(self, code: LinearCode, sub: LinearCode | None = None):
+        self.code = code
+        self.sub = sub if sub is not None and sub.k else None
+        # generator rows i < leads span code over sub
+        self.leads = code.k - (self.sub.k if self.sub else 0)
+        self.found: dict[int, tuple] = {}
+        self.absent: set[int] = set()
+        self.exact_counts: list[int] | None = None
+        # (samples, seed) of the last full sampling pass; None before one
+        self.sampled: tuple[int, int] | None = None
+
+    @cached_property
+    def rows(self) -> list[tuple[int, ...]]:
+        if self.sub is None:
+            return list(self.code.gen)
+        ext = _extension_rows(self.code, self.sub)
+        return [tuple(r) for r in ext] + list(self.sub.gen)
+
+    @property
+    def enum_cost(self) -> int:
+        """Classes an enumeration visits: q**dim(sub) cosets per projective
+        class of the leading coefficients."""
+        q = self.code.field.q
+        return q ** (self.code.k - self.leads) * kernels.projective_count(q, self.leads)
+
+    def record(self, word) -> None:
+        self.found.setdefault(_weight(word), tuple(int(x) for x in word))
+
+    def _record_found(self, weights: np.ndarray, words: np.ndarray) -> None:
+        for w in np.flatnonzero(np.bincount(weights)).tolist():
+            if w and w not in self.found:
+                i = int(np.argmax(weights == w))
+                self.found[w] = tuple(int(x) for x in words[i])
+
+    def enumerate(self) -> None:
+        """Every word once up to scalars: exact counts and every weight."""
+        if self.exact_counts is not None:
+            return
+        f, n = self.code.field, self.code.n
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for words in kernels.iter_projective_words(f, self.rows, leads=self.leads):
+            weights = (words != 0).sum(axis=1)
+            counts += np.bincount(weights, minlength=n + 1)
+            self._record_found(weights, words)
+        counts *= f.q - 1
+        counts[0] = 1 if self.sub is None else 0  # zero lies in every subcode
+        self.exact_counts = [int(c) for c in counts]
+        self.absent.update(w for w in range(1, n + 1) if counts[w] == 0)
+
+    def scan(self, w: int, budget: SearchBudget, need_full: bool):
+        """Support scan at level w, or None when its gate refuses.
+
+        need_full asks for weight exactly w; otherwise any word inside a
+        size-w support passes, and a completed exhaustive scan proves every
+        weight up to w absent.
+        """
+        code = self.code
+        if not kernels.level_gate(code.n, w, code.k, budget.support):
+            return None
+        out = kernels.scan_level(
+            code.field, code.parity_rows, code.n, w, budget.seed,
+            need_full=need_full, reject=self.sub.contains if self.sub else None,
+            seed_tag=w,
+        )
+        if out.witness is not None:
+            self.record(out.witness)
+        elif out.completed and out.exhaustive:
+            self.absent.update([w] if need_full else range(1, w + 1))
+        return out
+
+    def sample(self, budget: SearchBudget, tag: int, stop: int | None = None) -> None:
+        """Record the first sampled word of each weight.  Stops after the
+        chunk that finds weight stop; only a full pass counts as sampled."""
+        if self.sampled == (budget.samples, budget.seed):
+            return
+        for msgs, words in kernels.iter_sampled_words(
+            self.code.field, self.rows, budget.samples, budget.seed, tag=tag
+        ):
+            words = words[msgs[:, :self.leads].any(axis=1)]
+            self._record_found((words != 0).sum(axis=1), words)
+            if stop in self.found:
+                return
+        self.sampled = (budget.samples, budget.seed)
+
+    def lowest(self, budget: SearchBudget, tag: int) -> WeightResult:
+        """Lowest weight: enumerate when affordable, else scan levels upward
+        while each one completes, then sample down to the proven floor."""
+        if self.enum_cost <= budget.enum:
+            self.enumerate()
+            w = min(self.found)
+            return WeightResult(w, self.found[w], "exact", w)
+        floor = 1
+        while floor <= self.code.n:
+            out = self.scan(floor, budget, need_full=False)
+            if out is None:
+                break
+            if out.witness is not None:
+                w = _weight(out.witness)
+                return WeightResult(w, self.found[w], "exact", w)
+            if floor not in self.absent:
+                break
+            floor += 1
+        self.sample(budget, tag, stop=floor)
+        best = min(self.found, default=None)
+        status = "exact" if best == floor else "lower_bound_only"
+        return WeightResult(best, self.found.get(best), status, floor)
+
+
+def min_weight(code: LinearCode, budget: SearchBudget = DEFAULT_BUDGET) -> WeightResult:
+    """Minimum weight: the MDS rank sweep when it applies, else the
+    WordSearch ladder.  The returned floor is always a proven lower bound,
+    whatever the status.
+    """
+    if code.k == 0:
+        raise ZeroDimensional("zero code has no minimum weight")
+    n, k = code.n, code.k
+    if math.comb(n, min(k, n - k)) <= MDS_SUBSET_CAP and mds_verify(code):
+        w = _mds_witness(code)
+        return WeightResult(n - k + 1, w, "exact", n - k + 1)
+    return WordSearch(code).lowest(budget, tag=0x31)
+
+
 def min_weight_relative(
     big: LinearCode, sub: LinearCode, budget: SearchBudget = DEFAULT_BUDGET
 ) -> WeightResult:
     """Minimum weight over words of big that are not in sub.
 
-    Same ladder as min_weight with a membership filter.  When the two codes
-    coincide the set is empty and the result has status "undefined".
+    When the two codes coincide the set is empty and the result has status
+    "undefined".
     """
     if big.field is not sub.field:
         raise FieldMismatch("codes over different fields")
@@ -328,51 +403,4 @@ def min_weight_relative(
         raise NotASubcode("second argument is not a subcode of the first")
     if big.k == sub.k:
         return WeightResult(None, None, "undefined", 0)
-    f, n, q = big.field, big.n, big.field.q
-    ext = _extension_rows(big, sub)
-    e = len(ext)
-    reject = sub.contains if sub.k else None
-    classes = (q ** sub.k) * kernels.projective_count(q, e)
-    if classes <= budget.enum:
-        best, bw = None, None
-        rows = [tuple(r) for r in ext] + [tuple(r) for r in sub.gen]
-        for words in kernels.iter_projective_words(f, rows, leads=e):
-            weights = (words != 0).sum(axis=1)
-            i = int(np.argmin(weights))
-            if best is None or weights[i] < best:
-                best = int(weights[i])
-                bw = tuple(int(x) for x in words[i])
-        return WeightResult(best, bw, "exact", best)
-    floor = 1
-    for w in range(1, n + 1):
-        if not kernels.level_gate(n, w, big.k, budget.support):
-            break
-        out = kernels.scan_level(
-            f, big.parity_rows, n, w, budget.seed,
-            need_full=False, reject=reject, seed_tag=w,
-        )
-        if out.witness is not None:
-            wt = sum(1 for x in out.witness if x)
-            return WeightResult(wt, out.witness, "exact", wt)
-        if out.completed and out.exhaustive:
-            floor = w + 1
-        else:
-            break
-    best, bw = None, None
-    gen_rows = [tuple(r) for r in ext] + [tuple(r) for r in sub.gen]
-    for msgs, words in kernels.iter_sampled_words(
-        f, gen_rows, budget.samples, budget.seed, tag=0x32
-    ):
-        outside = msgs[:, :e].any(axis=1)
-        if not outside.any():
-            continue
-        weights = np.where(outside, (words != 0).sum(axis=1), n + 1)
-        i = int(np.argmin(weights))
-        if int(weights[i]) <= n and (best is None or int(weights[i]) < best):
-            best = int(weights[i])
-            bw = tuple(int(x) for x in words[i])
-            if best == floor:
-                break
-    if best is not None and best == floor:
-        return WeightResult(best, bw, "exact", floor)
-    return WeightResult(best, bw, "lower_bound_only", floor)
+    return WordSearch(big, sub).lowest(budget, tag=0x32)

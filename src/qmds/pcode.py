@@ -28,6 +28,7 @@ from .errors import (
 from .gf import build_field, conjugate, embed, norm_preimage, subfield_order
 from .linalg import (
     LinearCode,
+    WordSearch,
     code_from_parity,
     hermitian_inner,
     linear_code,
@@ -46,20 +47,16 @@ def _product_rows(code: LinearCode):
     return rows
 
 
-class PunctureCode:
-    """P(C) plus cached search state shared by the weight queries."""
+class PunctureCode(WordSearch):
+    """P(C) plus the search state shared by the weight queries."""
 
     def __init__(self, base: LinearCode, source: str, parent: str,
                  spec: ConstacyclicSpec | None = None):
+        super().__init__(base)
         self.base = base
         self.source = source
         self.parent = parent
         self.spec = spec
-        self.found: dict[int, tuple] = {}
-        self.absent: set[int] = set()
-        self.exact_counts: list[int] | None = None
-        # (samples, seed) of the last sampling pass; None before the first
-        self.sampled: tuple[int, int] | None = None
 
     def __repr__(self):
         return f"P({self.parent}) = {self.base!r} via {self.source}"
@@ -131,45 +128,6 @@ class PresenceResult:
         return self.verdict == "FoundWitness"
 
 
-def _record_found(pc: PunctureCode, weights: np.ndarray, words: np.ndarray) -> None:
-    for wv in np.unique(weights):
-        w = int(wv)
-        if w and w not in pc.found:
-            i = int(np.nonzero(weights == wv)[0][0])
-            pc.found[w] = tuple(int(x) for x in words[i])
-
-
-def _ensure_enumerated(pc: PunctureCode) -> None:
-    if pc.exact_counts is not None:
-        return
-    base = pc.base
-    counts = np.zeros(base.n + 1, dtype=np.int64)
-    for words in kernels.iter_projective_words(base.field, base.gen):
-        weights = (words != 0).sum(axis=1)
-        counts += np.bincount(weights, minlength=base.n + 1)
-        _record_found(pc, weights, words)
-    counts *= base.field.q - 1
-    counts[0] = 1
-    pc.exact_counts = [int(c) for c in counts]
-    pc.absent.update(w for w in range(1, base.n + 1) if counts[w] == 0)
-
-
-def _ensure_sampled(pc: PunctureCode, budget: SearchBudget) -> None:
-    if pc.sampled == (budget.samples, budget.seed):
-        return
-    base = pc.base
-    for _, words in kernels.iter_sampled_words(
-        base.field, base.gen, budget.samples, budget.seed, tag=0x77
-    ):
-        weights = (words != 0).sum(axis=1)
-        _record_found(pc, weights, words)
-    pc.sampled = (budget.samples, budget.seed)
-
-
-def _enum_fits(pc: PunctureCode, budget: SearchBudget) -> bool:
-    return kernels.projective_count(pc.base.field.q, pc.base.k) <= budget.enum
-
-
 def weight_present(pc: PunctureCode, w: int,
                    budget: SearchBudget = DEFAULT_BUDGET) -> PresenceResult:
     """Decide whether the puncture code has a word of weight exactly w.
@@ -183,35 +141,24 @@ def weight_present(pc: PunctureCode, w: int,
         raise BadWeight(f"weight {w} outside 1..{base.n}")
     if base.k == 0:
         return PresenceResult(w, "ProvenAbsent", None, {"reason": "zero code"})
-    if w in pc.found:
-        return PresenceResult(w, "FoundWitness", pc.found[w], {"cache": True})
-    if w in pc.absent:
-        return PresenceResult(w, "ProvenAbsent", None, {"cache": True})
-    if _enum_fits(pc, budget):
-        _ensure_enumerated(pc)
-        if w in pc.found:
-            return PresenceResult(w, "FoundWitness", pc.found[w],
-                                  {"enumerated": pc.exact_counts is not None})
-        return PresenceResult(w, "ProvenAbsent", None, {"enumerated": True})
-    effort = {}
-    if kernels.level_gate(base.n, w, base.k, budget.support):
-        out = kernels.scan_level(
-            base.field, base.parity_rows, base.n, w, budget.seed,
-            need_full=True, seed_tag=w,
-        )
-        effort["supports_scanned"] = out.supports_scanned
-        if out.witness is not None:
-            pc.found[w] = out.witness
-            return PresenceResult(w, "FoundWitness", out.witness, effort)
-        if out.completed and out.exhaustive:
-            pc.absent.add(w)
-            return PresenceResult(w, "ProvenAbsent", None, effort)
-    _ensure_sampled(pc, budget)
-    effort["samples"] = budget.samples
-    effort["seed"] = budget.seed
+    if w in pc.found or w in pc.absent:
+        effort = {"cache": True}
+    elif pc.enum_cost <= budget.enum:
+        pc.enumerate()
+        effort = {"enumerated": True}
+    else:
+        effort = {}
+        out = pc.scan(w, budget, need_full=True)
+        if out is not None:
+            effort["supports_scanned"] = out.supports_scanned
+        if w not in pc.found and w not in pc.absent:
+            pc.sample(budget, tag=0x77)
+            effort["samples"] = budget.samples
+            effort["seed"] = budget.seed
     if w in pc.found:
         return PresenceResult(w, "FoundWitness", pc.found[w], effort)
-    return PresenceResult(w, "UnknownWithinBudget", None, effort)
+    verdict = "ProvenAbsent" if w in pc.absent else "UnknownWithinBudget"
+    return PresenceResult(w, verdict, None, effort)
 
 
 def weight_spectrum(pc: PunctureCode, weights=None,
@@ -227,8 +174,8 @@ def weight_spectrum(pc: PunctureCode, weights=None,
     weights = sorted(set(weights))
     if any(not (1 <= w <= base.n) for w in weights):
         raise BadWeight(f"weights outside 1..{base.n}")
-    if base.k and not _enum_fits(pc, budget):
-        _ensure_sampled(pc, budget)
+    if base.k and pc.enum_cost > budget.enum:
+        pc.sample(budget, tag=0x77)
     return [weight_present(pc, w, budget) for w in weights]
 
 

@@ -26,9 +26,9 @@ from .errors import (
     UnsupportedAlphabet,
 )
 from .gf import build_field, field_for_order, subfield_order
-from .kernels import projective_count
 from .linalg import (
     LinearCode,
+    WordSearch,
     code_from_parity,
     dual,
     is_subcode,
@@ -107,19 +107,18 @@ def stabilizer_from_self_orthogonal(
     dstar = dual(d_code, "hermitian")
     if not is_subcode(d_code, dstar):
         raise NotSelfOrthogonal("code is not contained in its Hermitian dual")
-    mw = min_weight(dstar, budget)
     kq = n - 2 * kt
-    if kq == 0:
-        d = mw.value if mw.exact else mw.floor
-        return QuantumCodeParams(
-            q0, n, 0, d, "yes", mw.exact, prov + ("zero-logical-convention",)
-        )
     cap = kt + 1
-    dstar_floor = max(mw.value if mw.exact else mw.floor, d_floor)
+    # d(D*) <= cap by Singleton, so a floor at the cap settles D* unsearched
+    mw = min_weight(dstar, budget) if kq == 0 or d_floor < cap else None
+    if kq == 0:
+        return QuantumCodeParams(
+            q0, n, 0, mw.floor, "yes", mw.exact, prov + ("zero-logical-convention",)
+        )
+    dstar_floor = d_floor if mw is None else max(mw.floor, d_floor)
     assert dstar_floor <= cap
-    coset_classes = big.q**kt * projective_count(big.q, kq)
     if prefer_relative is None:
-        prefer_relative = coset_classes <= budget.enum
+        prefer_relative = WordSearch(dstar, d_code).enum_cost <= budget.enum
     rel = None
     if prefer_relative:
         rel = min_weight_relative(dstar, d_code, budget)
@@ -131,7 +130,7 @@ def stabilizer_from_self_orthogonal(
         rel = min_weight_relative(dstar, d_code, budget)
     if rel.exact:
         assert rel.value <= cap
-        if mw.exact:
+        if mw is not None and mw.exact:
             pure = "yes" if mw.value == rel.value else "no"
         else:
             pure = "yes" if rel.value == dstar_floor else "unknown"
@@ -380,7 +379,7 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
         provenance=("norm-triple-family", f"m={m}", f"quadratic=({g1},{g0})"),
     )
     assert (params.n, params.k, params.d, params.d_exact) == (n, n - 6, 4, True)
-    pc.found[n] = tuple(x)
+    pc.record(x)
     return params, tuple(x), d_code, pc
 
 
@@ -554,7 +553,9 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> list[tuple]:
             for n in range(2 * d - 2, nmax + 1)
             if n >= 2
         ]
-    light = budget.lightened(support=5 * 10**8, samples=min(budget.samples, 10**6))
+    light = replace(
+        budget, support=min(budget.support, 5 * 10**8), samples=min(budget.samples, 10**6)
+    )
     cells: dict[tuple[int, int], str] = {}
 
     def put(d, n, status):

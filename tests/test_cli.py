@@ -182,6 +182,7 @@ def test_figdata_deterministic(capsys):
     ("conjectures", "--q", "2..x"),
     ("conjectures", "--q", "x"),
     ("conjectures", "--q", "5..2"),
+    ("conjectures", "--q", "0..1"),
 ])
 def test_malformed_range_is_a_usage_error(capsys, argv):
     status, out, err = run(capsys, *argv)

@@ -14,6 +14,7 @@ from qmds.errors import (
 )
 from qmds.gf import build_field
 from qmds.linalg import (
+    WordSearch,
     code_from_parity,
     dual,
     hermitian_inner,
@@ -36,6 +37,35 @@ from oracles import (
     is_member,
     macwilliams_dual_spectrum,
 )
+
+
+def route_budgets(n, k):
+    """Budgets that force each route of the weight search on an [n, k] code:
+    enumeration, level scans only, no scans then sampling, and one scanned
+    level then sampling down to the floor it proves (n > 3)."""
+    one_level = n * max(min(k, n - k), 1) ** 3
+    return {
+        "enumerate": SearchBudget(),
+        "scan": SearchBudget(enum=0, support=10**12, samples=0),
+        "sample": SearchBudget(enum=0, support=0, samples=2000),
+        "scan-sample": SearchBudget(enum=0, support=one_level, samples=2000),
+    }
+
+
+def check_lowest(got, brute, contains, route, mds=False):
+    """A search result against the brute-force minimum: a witness of the
+    reported weight in the set, a floor that is a proof, and exactness
+    where the route decides."""
+    assert got.floor <= brute <= got.value
+    assert sum(1 for x in got.witness if x) == got.value
+    assert contains(got.witness)
+    assert got.exact == (got.value == got.floor)
+    if mds or route in ("enumerate", "scan"):
+        assert got.exact and got.value == brute
+    elif route == "sample":
+        assert got.floor == 1
+    else:
+        assert got.floor == min(brute, 2)
 
 
 def random_code(field, n, k, rng):
@@ -136,6 +166,17 @@ def test_words_supported_in():
     for row in sub.gen:
         assert row[3] == 0
         assert c.contains(row)
+    # every word of the code that vanishes outside the support, over a
+    # prime field and over GF(4)
+    rng = random.Random(3)
+    for f, n, k in [(build_field(3), 7, 4), (build_field(2, 2), 6, 4)]:
+        code = random_code(f, n, k, rng)
+        support = [0, 2, 3, 5]
+        want = {
+            w for w in all_codewords(code)
+            if not any(x for j, x in enumerate(w) if j not in support)
+        }
+        assert set(all_codewords(words_supported_in(code, support))) == want
 
 
 def test_subfield_subcode():
@@ -172,11 +213,17 @@ def test_min_weight_matches_brute_force(q, n, k):
     for _ in range(15):
         c = random_code(f, n, k, rng)
         got = min_weight(c)
+        brute = brute_min_weight(c)
         assert got.exact
-        assert got.value == brute_min_weight(c)
+        assert got.value == brute
         wt = sum(1 for x in got.witness if x)
         assert wt == got.value
         assert c.contains(got.witness)
+        # the ladder itself, past the MDS shortcut, on every route
+        for route, budget in route_budgets(n, k).items():
+            check_lowest(WordSearch(c).lowest(budget, tag=0x31), brute, c.contains, route)
+            check_lowest(min_weight(c, budget), brute, c.contains, route,
+                         mds=brute == n - k + 1)
     with pytest.raises(ZeroDimensional):
         min_weight(linear_code(f, [], 4))
 
@@ -204,12 +251,45 @@ def test_min_weight_relative_matches_brute_force(q, n, k, ksub):
         big = random_code(f, n, k, rng)
         sub = linear_code(f, big.gen[:ksub], n)
         got = min_weight_relative(big, sub)
+        brute = brute_min_weight_relative(big, sub)
         assert got.exact
-        assert got.value == brute_min_weight_relative(big, sub)
+        assert got.value == brute
         assert big.contains(got.witness) and not sub.contains(got.witness)
+        for route, budget in route_budgets(n, k).items():
+            check_lowest(
+                min_weight_relative(big, sub, budget), brute,
+                lambda v: big.contains(v) and not sub.contains(v), route,
+            )
         hits += 1
     with pytest.raises(NotASubcode):
         min_weight_relative(sub, big)
+
+
+def test_raising_a_budget_keeps_an_exact_minimum():
+    from qmds.gf import field_for_order
+
+    rng = random.Random(2024)
+    base = SearchBudget(enum=5, support=200, samples=20, seed=3)
+    raised = [
+        SearchBudget(enum=10**6, support=200, samples=20, seed=3),
+        SearchBudget(enum=5, support=10**12, samples=20, seed=3),
+        SearchBudget(enum=5, support=200, samples=10**4, seed=3),
+    ]
+    decided = 0
+    for q, n, k, ksub in [(2, 9, 4, 1), (3, 7, 3, 1), (4, 6, 3, 1)]:
+        f = field_for_order(q)
+        for _ in range(5):
+            big = random_code(f, n, k, rng)
+            sub = linear_code(f, big.gen[:ksub], n)
+            for search in (lambda b: min_weight(big, b),
+                           lambda b: min_weight_relative(big, sub, b)):
+                low = search(base)
+                for budget in raised:
+                    high = search(budget)
+                    if low.exact:
+                        decided += 1
+                        assert high.exact and high.value == low.value
+    assert decided
 
 
 def test_min_weight_relative_empty_set():

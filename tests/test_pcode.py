@@ -1,6 +1,7 @@
 """Puncture-code construction and weight-presence searches."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -125,6 +126,47 @@ def test_weight_present_cache_and_bounds():
         weight_present(spectral, 6)
     with pytest.raises(BadWeight):
         weight_spectrum(spectral, [3, 99])
+
+
+@pytest.mark.parametrize("route,budget,effort_key", [
+    ("enumerate", SearchBudget(), "enumerated"),
+    ("scan", SearchBudget(enum=0, support=10**12, samples=0), "supports_scanned"),
+    ("sample", SearchBudget(enum=0, support=0, samples=2000), "samples"),
+])
+def test_weight_present_routes_match_brute_spectrum(route, budget, effort_key):
+    # P(C) for q = 3, d = 3 is [10, 6] over GF(3): 729 words, brute-forced
+    spectral, _ = both_routes(3, 3)
+    counts = oracles.brute_spectrum(spectral.base)
+    for w in range(1, 11):
+        res = weight_present(spectral, w, budget)
+        # later answers may come from the state the route filled
+        assert effort_key in res.effort or (w > 1 and res.effort == {"cache": True})
+        if counts[w]:
+            assert res.verdict == "FoundWitness"
+            assert sum(1 for v in res.witness if v) == w
+            assert oracles.is_member(spectral.base, res.witness)
+        else:
+            # sampling only ever finds witnesses
+            want = "UnknownWithinBudget" if route == "sample" else "ProvenAbsent"
+            assert res.verdict == want
+
+
+def test_raising_a_budget_keeps_every_decided_verdict():
+    base = SearchBudget(enum=10, support=1000, samples=50, seed=7)
+    raised = [
+        replace(base, enum=10**6),
+        replace(base, support=10**12),
+        replace(base, samples=10**5),
+        replace(base, support=10**12, samples=10**5),
+    ]
+    for q, d in [(3, 3), (2, 2), (4, 3)]:
+        low = weight_spectrum(both_routes(q, d)[0], None, base)
+        assert any(r.verdict != "UnknownWithinBudget" for r in low)
+        for budget in raised:
+            high = weight_spectrum(both_routes(q, d)[0], None, budget)
+            for a, b in zip(low, high):
+                if a.verdict != "UnknownWithinBudget":
+                    assert b.verdict == a.verdict, (q, d, budget, a.weight)
 
 
 def test_zero_code_has_no_weights():
