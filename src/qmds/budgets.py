@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 DEFAULT_SEED = 0xC0DE
 
 # Column-subset cap for the exact MDS check; min(C(n,k), C(n,n-k)) must stay
-# at or below this for the rank sweep to run.
+# at or below this for the subset check to run.
 MDS_SUBSET_CAP = 10**7
 
 # Supports probed per weight level on the dense (w > n-k) route before the

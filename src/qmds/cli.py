@@ -12,7 +12,7 @@ import sys
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .ccodes import bch_ht_bound, build_code, mds_spec, spec_to_dict
-from .errors import QmdsError, NotKnown
+from .errors import Contradiction, NotKnown, QmdsError
 from .gf import build_field, field_for_order
 from .linalg import dual, mds_verify
 from .pcode import (
@@ -105,11 +105,27 @@ def _witness_from_word(q, d, n, word, seed):
     return _witness_dict(q, d, n, len(support), support, values, seed)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _word_from_witness(rec) -> tuple:
-    word = [0] * rec["n"]
-    for pos, val in zip(rec["support"], rec["values"]):
-        if not (0 <= pos < rec["n"]):
+    """The word a witness record describes, after checking its shape."""
+    q, n, support, values = rec["q"], rec["n"], rec["support"], rec["values"]
+    if not (isinstance(support, list) and isinstance(values, list)):
+        raise QmdsError("witness support and values must be lists")
+    if not all(_is_int(x) for x in support + values):
+        raise QmdsError("witness support and values must hold integers")
+    if len(support) != len(values):
+        raise QmdsError("witness support and values differ in length")
+    if len(set(support)) != len(support):
+        raise QmdsError("witness support repeats a position")
+    word = [0] * n
+    for pos, val in zip(support, values):
+        if not (0 <= pos < n):
             raise QmdsError(f"witness position {pos} outside the code length")
+        if not (0 <= val < q):
+            raise QmdsError(f"witness value {val} outside GF({q})")
         word[pos] = val
     return tuple(word)
 
@@ -244,11 +260,18 @@ def cmd_shorten(args, out) -> int:
 def cmd_verify(args, out) -> int:
     budget = _budget(args)
     with open(args.witness) as handle:
-        rec = json.load(handle)
+        try:
+            rec = json.load(handle)
+        except ValueError as exc:
+            raise QmdsError(f"witness file is not JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise QmdsError("witness file must hold one JSON object")
     for fieldname in ("q", "d", "n", "weight", "support", "values"):
         if fieldname not in rec:
             raise QmdsError(f"witness file misses field {fieldname!r}")
     q, d, n = rec["q"], rec["d"], rec["n"]
+    if not all(_is_int(x) for x in (q, d, n)):
+        raise QmdsError("witness q, d and n must be integers")
     word = _word_from_witness(rec)
     weight = sum(1 for v in word if v)
     checks = {"weight_matches": weight == rec["weight"] == len(rec["support"])}
@@ -600,6 +623,9 @@ def main(argv=None) -> int:
     out = _Out(args.output)
     try:
         status = args.func(args, out)
+    except Contradiction as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except QmdsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,10 @@ class QmdsError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class Contradiction(QmdsError):
+    """A mathematical invariant failed: a bug, never a bad input."""
+
+
 class NotPrime(QmdsError):
     pass
 

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (
+    Contradiction,
     NotASubfield,
     NotGaloisStable,
     NotInSubfield,
@@ -98,52 +99,69 @@ def _mul_by_x(v: int, p: int, m: int, low: int) -> int:
     return v
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _mulmod(a: list[int], b: list[int], p: int, low: list[int]) -> list[int]:
+    """a * b mod x^m + low(x), as coefficient lists of length m, lowest first."""
+    m = len(a)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % p
+        if c:
+            # x**i = x**(i-m) * x**m and x**m = -low(x)
+            for j, y in enumerate(low):
+                prod[i - m + j] -= c * y
+    return [v % p for v in prod[:m]]
+
+
+def _x_power(p: int, m: int, low: int, e: int) -> list[int]:
+    """x**e mod x^m + low(x) by square-and-multiply, as a coefficient list."""
+    lows = _digits(low, p, m)
+    # for m == 1, x reduces to the constant -low
+    base = [(p - low) % p] if m == 1 else [0, 1] + [0] * (m - 2)
+    acc = [1] + [0] * (m - 1)
+    while e:
+        if e & 1:
+            acc = _mulmod(acc, base, p, lows)
+        base = _mulmod(base, base, p, lows)
+        e >>= 1
+    return acc
+
+
 def _x_generates(p: int, m: int, low: int) -> bool:
-    """True when x has multiplicative order exactly p**m - 1 mod x^m + low."""
+    """True when x has multiplicative order exactly p**m - 1 mod x^m + low.
+
+    That holds exactly when x**(q-1) = 1 and x**((q-1)/l) != 1 for every
+    prime l dividing q - 1.  When x divides the modulus (low has no constant
+    term, m > 1) x is no unit, so no power of it is 1.
+    """
     q = p**m
-    if m == 1:
-        # x reduces to the constant -low
-        v = (p - low) % p
-        if v == 0:
-            return False
-        acc = v
-        for step in range(1, q):
-            if acc == 1:
-                return step == q - 1
-            acc = (acc * v) % p
+    if m > 1 and low % p == 0:
         return False
-    v = p % q  # the element x itself; for m == 1 handled above
-    acc = v
-    for step in range(1, q):
-        if acc == 0:
-            return False
-        if acc == 1:
-            return step == q - 1
-        acc = _mul_by_x(acc, p, m, low)
-    return False
+    one = [1] + [0] * (m - 1)
+    if _x_power(p, m, low, q - 1) != one:
+        return False
+    return all(_x_power(p, m, low, (q - 1) // r) != one for r in _prime_factors(q - 1))
 
 
 def _maximal_proper_divisors(m: int) -> list[int]:
-    primes = set()
-    r, t = 2, m
-    while r * r <= t:
-        if t % r == 0:
-            primes.add(r)
-            while t % r == 0:
-                t //= r
-        r += 1
-    if t > 1:
-        primes.add(t)
-    return sorted(m // r for r in primes)
-
-
-def _digit_scale(a: int, c: int, p: int) -> int:
-    out, shift = 0, 1
-    while a:
-        out += ((a % p) * c % p) * shift
-        a //= p
-        shift *= p
-    return out
+    return sorted(m // r for r in _prime_factors(m))
 
 
 def _norm_compatible(p: int, m: int, low: int) -> bool:
@@ -155,21 +173,15 @@ def _norm_compatible(p: int, m: int, low: int) -> bool:
     generator, no matter which intermediate field the embedding routes
     through.
     """
+    lows = _digits(low, p, m)
     for d in _maximal_proper_divisors(m):
-        sub_modulus = build_field(p, d).modulus
-        big_r = (p**m - 1) // (p**d - 1)
-        want = {big_r * j for j in range(d + 1)}
-        got = {0: 1}
-        v = 1
-        for step in range(1, big_r * d + 1):
-            v = _mul_by_x(v, p, m, low)
-            if step in want:
-                got[step] = v
-        acc = 0
-        for j, coeff in enumerate(sub_modulus):
-            if coeff:
-                acc = _digit_add(acc, _digit_scale(got[big_r * j], coeff, p), p)
-        if acc:
+        root = _x_power(p, m, low, (p**m - 1) // (p**d - 1))
+        acc = [0] * m
+        power = [1] + [0] * (m - 1)
+        for coeff in build_field(p, d).modulus:
+            acc = [(a + coeff * b) % p for a, b in zip(acc, power)]
+            power = _mulmod(power, root, p, lows)
+        if any(acc):
             return False
     return True
 
@@ -179,7 +191,7 @@ def _find_modulus_low(p: int, m: int) -> int:
     for low in range(p**m):
         if _x_generates(p, m, low) and _norm_compatible(p, m, low):
             return low
-    raise RuntimeError(f"no primitive modulus found for GF({p}**{m})")
+    raise Contradiction(f"no primitive modulus found for GF({p}**{m})")
 
 
 class FieldTable:
@@ -211,7 +223,7 @@ class FieldTable:
                 log[v] = i
                 v = _mul_by_x(v, p, m, low)
             if v != 1:
-                raise RuntimeError(f"exp table for GF({q}) did not close")
+                raise Contradiction(f"exp table for GF({q}) did not close")
         self.exp_table = tuple(exp)
         self.log_table = tuple(log)
         self.generator = self.exp_table[1] if q > 2 else 1
@@ -289,15 +301,15 @@ def _spot_check(f: FieldTable) -> None:
     picks = sorted({1, f.generator, q - 1, (q // 2) or 1, f.exp_table[(q - 1) // 2]})
     for a in picks:
         if f.mul(a, f.inv(a)) != 1:
-            raise RuntimeError(f"inverse check failed in GF({q})")
+            raise Contradiction(f"inverse check failed in GF({q})")
         for b in picks:
             for c in picks:
                 left = f.mul(a, f.add(b, c))
                 right = f.add(f.mul(a, b), f.mul(a, c))
                 if left != right:
-                    raise RuntimeError(f"distributivity check failed in GF({q})")
+                    raise Contradiction(f"distributivity check failed in GF({q})")
                 if f.mul(f.mul(a, b), c) != f.mul(a, f.mul(b, c)):
-                    raise RuntimeError(f"associativity check failed in GF({q})")
+                    raise Contradiction(f"associativity check failed in GF({q})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -450,7 +462,7 @@ def embed(small: FieldTable, big: FieldTable) -> SubfieldEmbedding:
             image = cand
             break
     if image is None:
-        raise RuntimeError(
+        raise Contradiction(
             f"no root of the GF({small.q}) modulus inside GF({big.q})"
         )
     emb = SubfieldEmbedding(small, big, image)
@@ -458,9 +470,9 @@ def embed(small: FieldTable, big: FieldTable) -> SubfieldEmbedding:
     for a in range(limit):
         for b in range(limit):
             if emb.map(small.add(a, b)) != big.add(emb.map(a), emb.map(b)):
-                raise RuntimeError("embedding is not additive")
+                raise Contradiction("embedding is not additive")
             if emb.map(small.mul(a, b)) != big.mul(emb.map(a), emb.map(b)):
-                raise RuntimeError("embedding is not multiplicative")
+                raise Contradiction("embedding is not multiplicative")
     return emb
 
 

@@ -141,6 +141,65 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
     return lead
 
 
+def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
+    """True when every `size` columns of the (r, n) matrix are independent,
+    for 1 <= size <= r.
+
+    The column subsets form a lexicographic prefix tree, walked depth first
+    and vectorised over the nodes of one level.  A node with j prefix
+    columns holds P = A @ mat, where the r - j rows of A span the left
+    kernel of those columns, so a further column c depends on the prefix
+    exactly when P[:, c] is zero.  A child keeps P after one rank-1 update
+    that clears its column, minus the pivot row.  Children are built in
+    chunks of at most RANK_CHUNK (or the children of one node, if more),
+    which bounds memory, and the walk stops at the first dependent column
+    that still leaves room for a whole subset.
+    """
+    t = field.np_tables()
+    p = _elimination_prime(field)
+    n = mat.shape[1]
+    cols = np.arange(n)
+
+    def frontier(j, last):
+        # child columns: after the last prefix column, and early enough to
+        # leave room for the size - j - 1 columns still to come
+        return (cols > last[:, None]) & (cols <= n - size + j)
+
+    # (level j, node matrices P, child columns per node, next parent)
+    stack = [(0, mat[None], frontier(0, np.full(1, -1)), 0)]
+    while stack:
+        j, pm, kids, start = stack.pop()
+        if start == 0:
+            if (kids & ~pm.any(axis=1)).any():
+                return False
+            if j == size - 1:
+                continue
+        fan = np.cumsum(kids[start:].sum(axis=1))
+        stop = start + max(1, int(np.searchsorted(fan, RANK_CHUNK, side="right")))
+        if stop < len(kids):
+            stack.append((j, pm, kids, stop))
+        node, col = np.nonzero(kids[start:stop])
+        if not len(node):
+            continue
+        node += start
+        colv = pm[node, :, col]
+        ar = np.arange(len(node))
+        piv = np.argmax(colv != 0, axis=1)
+        prow = pm[node, piv, :]
+        inv = t.inv[colv[ar, piv]][:, None]
+        prow = prow * inv % p if p else t.mul[prow, inv]
+        keep = np.arange(pm.shape[1] - 1)[None, :]
+        keep = keep + (keep >= piv[:, None])
+        fac = colv[ar[:, None], keep][:, :, None]
+        rest = pm[node[:, None], keep, :]
+        if p:
+            child = (rest + (p - 1) * fac * prow[:, None, :]) % p
+        else:
+            child = t.sub[rest, t.mul[fac, prow[:, None, :]]]
+        stack.append((j + 1, child, frontier(j + 1, col), 0))
+    return True
+
+
 def projective_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 

@@ -8,7 +8,6 @@ field.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,9 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .budgets import DEFAULT_BUDGET, MDS_SUBSET_CAP, RANK_CHUNK, SearchBudget
+from .budgets import DEFAULT_BUDGET, MDS_SUBSET_CAP, SearchBudget
 from .errors import (
     BadCoordinate,
+    Contradiction,
     FieldMismatch,
     LengthMismatch,
     NotASubcode,
@@ -180,9 +180,10 @@ def subfield_subcode(code: LinearCode, small: FieldTable) -> LinearCode:
 def mds_verify(code: LinearCode) -> bool:
     """Exact check that the code has distance n - k + 1.
 
-    Sweeps every column subset on the cheaper side (k-subsets of the
-    generator or (n-k)-subsets of the parity matrix) and demands full rank.
-    Refuses subsets counts above MDS_SUBSET_CAP.
+    Demands that every column subset on the cheaper side (k-subsets of the
+    generator or (n-k)-subsets of the parity matrix) is independent, by the
+    prefix-tree walk of kernels.independent_subsets.  Refuses subset counts
+    above MDS_SUBSET_CAP.
     """
     n, k = code.n, code.k
     if k == 0 or k == n:
@@ -198,16 +199,7 @@ def mds_verify(code: LinearCode) -> bool:
     else:
         rows, size = code.parity_rows, n - k
     mat = kernels.np_matrix(code.field, rows, n)
-    combos = itertools.combinations(range(n), size)
-    while True:
-        chunk = list(itertools.islice(combos, RANK_CHUNK))
-        if not chunk:
-            return True
-        idx = np.array(chunk, dtype=np.intp)
-        stacks = np.ascontiguousarray(np.moveaxis(mat[:, idx], 1, 0))
-        ranks = kernels.batch_rank(code.field, stacks)
-        if (ranks < size).any():
-            return False
+    return kernels.independent_subsets(code.field, mat, size)
 
 
 @dataclass(frozen=True)
@@ -235,7 +227,8 @@ def _mds_witness(code: LinearCode) -> tuple:
     d = code.n - code.k + 1
     sub = words_supported_in(code, range(d))
     vec = sub.gen[0]
-    assert sum(1 for x in vec if x) == d
+    if sum(1 for x in vec if x) != d:
+        raise Contradiction(f"MDS word on the first {d} positions has another weight")
     return tuple(vec)
 
 

@@ -5,6 +5,7 @@ definition-chasing membership tests, no early exits.  Keep these free of
 package search machinery so a bug cannot hide in both places at once.
 """
 
+import functools
 import itertools
 
 from qmds.gf import FieldTable, conjugate
@@ -149,3 +150,46 @@ def _rank(f: FieldTable, rows):
                 mat[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def _times_x(v, p, lows):
+    """v * x mod x^m + low(x), coefficient lists lowest degree first."""
+    shifted = [0] + v[:-1]
+    return [(a - v[-1] * b) % p for a, b in zip(shifted, lows)]
+
+
+@functools.lru_cache(maxsize=None)
+def step_walk_modulus_low(p, m):
+    """The defining modulus of GF(p**m) from its definition, one power of x
+    at a time: the first low(x), in ascending base-p encoding, for which x
+    has order p**m - 1 modulo x^m + low(x) and x**((p**m-1)/(p**d-1)) is a
+    root of the GF(p**d) modulus for every maximal proper divisor d of m.
+    """
+    q = p**m
+    one = [1] + [0] * (m - 1)
+    divisors = [m // r for r in range(2, m + 1)
+                if m % r == 0 and all(r % s for s in range(2, r))]
+    for low in range(q):
+        lows = [(low // p**i) % p for i in range(m)]
+        v, step = one, 0
+        while True:
+            v, step = _times_x(v, p, lows), step + 1
+            if v == one or not any(v) or step == q - 1:
+                break
+        if not (v == one and step == q - 1):
+            continue
+        compatible = True
+        for d in divisors:
+            sub = step_walk_modulus_low(p, d)
+            coeffs = [(sub // p**i) % p for i in range(d)] + [1]
+            ratio = (q - 1) // (p**d - 1)
+            acc, v = [0] * m, one
+            for step in range(ratio * d + 1):
+                if step % ratio == 0:
+                    c = coeffs[step // ratio]
+                    acc = [(a + c * b) % p for a, b in zip(acc, v)]
+                v = _times_x(v, p, lows)
+            compatible = compatible and not any(acc)
+        if compatible:
+            return low
+    return None

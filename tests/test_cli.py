@@ -192,6 +192,51 @@ def test_malformed_range_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+GOOD_WITNESS = {"q": 3, "d": 3, "n": 10, "weight": 2, "support": [0, 1],
+                "values": [1, 2], "seed": 0}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    json.dumps(dict(GOOD_WITNESS, q="3")),
+    json.dumps(dict(GOOD_WITNESS, d=3.0)),
+    json.dumps(dict(GOOD_WITNESS, n=None)),
+    json.dumps(dict(GOOD_WITNESS, support=[0, "1"])),
+    json.dumps(dict(GOOD_WITNESS, support=[0, 1.5])),
+    json.dumps(dict(GOOD_WITNESS, values=[1, True])),
+    json.dumps(dict(GOOD_WITNESS, support=7)),
+    json.dumps(dict(GOOD_WITNESS, values=[1])),
+    json.dumps(dict(GOOD_WITNESS, support=[1, 1])),
+    json.dumps(dict(GOOD_WITNESS, values=[1, 9])),
+    json.dumps(dict(GOOD_WITNESS, values=[1, -1])),
+], ids=["json", "not-object", "q-str", "d-float", "n-null", "support-str",
+        "support-float", "value-bool", "support-int", "lengths", "repeat",
+        "value-9", "value-neg"])
+def test_malformed_witness_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    status, out, err = run(capsys, "verify", str(path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_contradiction_exits_one(capsys, monkeypatch):
+    import qmds.cli
+    from qmds.errors import Contradiction
+
+    def broken(p, m=1):
+        raise Contradiction(f"exp table for GF({p}**{m}) did not close")
+
+    monkeypatch.setattr(qmds.cli, "build_field", broken)
+    status, out, err = run(capsys, "field", "2", "3")
+    assert status == 1
+    assert out == ""
+    assert err == "error: exp table for GF(2**3) did not close\n"
+
+
 def test_thread_env_is_tolerated(capsys, monkeypatch):
     monkeypatch.setenv("QMDS_THREADS", "not-a-number")
     status, _ = run_json(capsys, "field", "3")

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import oracles
+
 from qmds.errors import (
     NotASubfield,
     NotGaloisStable,
@@ -14,6 +16,7 @@ from qmds.errors import (
     UnsupportedAlphabet,
 )
 from qmds.gf import (
+    _find_modulus_low,
     build_field,
     conjugate,
     embed,
@@ -90,6 +93,24 @@ def test_modulus_snapshots():
     assert build_field(3, 2).modulus == (2, 1, 1)
     assert build_field(2, 4).modulus[-1] == 1
     assert len(build_field(5, 2).modulus) == 3
+
+
+def prime_powers(limit):
+    for p in range(2, limit + 1):
+        if all(p % s for s in range(2, int(p**0.5) + 1)):
+            m = 1
+            while p**m <= limit:
+                yield p, m
+                m += 1
+
+
+def test_modulus_search_matches_step_walk():
+    # square-and-multiply order tests against walking every power of x
+    pairs = list(prime_powers(2401))
+    assert (2, 11) in pairs and (7, 4) in pairs
+    assert [_find_modulus_low(p, m) for p, m in pairs] == [
+        oracles.step_walk_modulus_low(p, m) for p, m in pairs
+    ]
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 4), (2, 6), (3, 4)])

@@ -1,11 +1,16 @@
-"""Byte-identical command output across refactors of the weight search.
+"""Byte-identical command output across refactors and kernel rewrites.
 
 Each case pins the sha256 of stdout and the exit code of one invocation.
-The hashes were recorded at commit 2e4e677, before enumeration, support
-scans and sampling shared one search state.  Together the cases take every
-route of min_weight, min_weight_relative and weight_present: enumeration,
-level scans that find a witness or prove absence, and sampling that stops
-at the proven floor or runs out.
+The first eleven hashes were recorded at commit 2e4e677, before
+enumeration, support scans and sampling shared one search state.  Together
+they take every route of min_weight, min_weight_relative and
+weight_present: enumeration, level scans that find a witness or prove
+absence, and sampling that stops at the proven floor or runs out.  The
+last five were recorded at commit 404af8d, before the modulus search used
+order tests and before mds_verify walked a prefix tree of column subsets:
+`field 2 12` and `field 7 4` print moduli that search found, and the
+`mds` cases print the verdict of that check over GF(64), GF(49) (both
+table fields, parity side) and GF(9).
 """
 
 import hashlib
@@ -43,6 +48,17 @@ GOLDEN = [
     (("--budget-enum", "1", "--budget-support", "300", "--budget-samples", "20000",
       "qmds", "3", "3"),
      "800b95ce3f3555bb50c74e8453e9c70f0d0e4ce09ff98cee2589d80b7de7c4c5", 0),
+    # the modulus search and the MDS check
+    (("field", "2", "12"),
+     "0e0154029883d682d629c58e4a0a3f340aba3f39d7297d8720518bf123c269a6", 0),
+    (("field", "7", "4"),
+     "9e3c30ff182cf82812d0ab362ee1f28991e0edd08d0451f4dce042bd74bdf02e", 0),
+    (("mds", "64", "5"),
+     "83f6e308f677e9357c5aa1a220a49b842f0018035c967cbe9660baefa804b3f2", 0),
+    (("mds", "49", "5"),
+     "e63f31d4a58834f1c950ab0dcbe10a1517a785362ccf1f341994bdd48f4504fd", 0),
+    (("mds", "9", "4"),
+     "c6ac26910fbaf318e2a260ead270ba1f8c0972098fa720cc1fabedfa392ea9e0", 0),
 ]
 
 

@@ -6,12 +6,14 @@ import random
 import numpy as np
 import pytest
 
+from qmds import kernels
 from qmds.budgets import SAMPLE_CHUNK, SUBSCAN_EXACT_CAP
 from qmds.gf import build_field
 from qmds.kernels import (
     _elimination_prime,
     batch_rank,
     gf_matmul,
+    independent_subsets,
     iter_projective_words,
     iter_sampled_words,
     level_gate,
@@ -33,8 +35,11 @@ F4 = build_field(2, 2)
 F5 = build_field(5, 1)
 F7 = build_field(7, 1)
 F9 = build_field(3, 2)
+F8 = build_field(2, 3)
 F11 = build_field(11, 1)
 F13 = build_field(13, 1)
+F49 = build_field(7, 2)
+F64 = build_field(2, 6)
 
 
 def rand_mat(rng, f, rows, cols):
@@ -137,6 +142,82 @@ def test_mod_p_elimination_guard():
     assert [_elimination_prime(f) for f in (F2, F3, F5, F7)] == [2, 3, 5, 7]
     for f in (F11, F13, F4, F9):
         assert _elimination_prime(f) == 0
+
+
+def dependent_subsets(f, mat, size):
+    """Every size-column subset of mat that is dependent, in lexicographic
+    order: one batch_rank elimination per subset."""
+    combos = list(itertools.combinations(range(mat.shape[1]), size))
+    stacks = np.moveaxis(mat[:, np.array(combos, dtype=np.intp)], 1, 0)
+    return [c for c, rk in zip(combos, batch_rank(f, stacks)) if rk < size]
+
+
+def vandermonde(f, r, n):
+    """Powers 0..r-1 of the points 0..n-1: every r columns independent."""
+    return np.array([[f.pow(x, i) for x in range(n)] for i in range(r)], dtype=np.uint8)
+
+
+def planted_last(f, rng, r, n, size):
+    """An r x n matrix whose only dependent size-column subset is the
+    lexicographically last one."""
+    last = tuple(range(n - size, n))
+    for _ in range(100):
+        mat = vandermonde(f, r, n)
+        col = [0] * r
+        for c in last[:-1]:
+            coef = rng.randrange(1, f.q)
+            col = [f.add(x, f.mul(coef, int(y))) for x, y in zip(col, mat[:, c])]
+        mat[:, n - 1] = col
+        if dependent_subsets(f, mat, size) == [last]:
+            return mat
+    raise AssertionError("no matrix with a single dependent subset")
+
+
+# mod-p integer elimination (GF(2), GF(5), GF(7)) and table gathers (the rest)
+KERNEL_FIELDS = [F2, F4, F5, F7, F8, F9, F49, F64]
+
+
+@pytest.mark.parametrize("f", KERNEL_FIELDS, ids=lambda f: f"GF{f.q}")
+def test_independent_subsets_matches_batch_rank(f):
+    rng = random.Random(70 + f.q)
+    r, n = 4, 7
+    for size in (1, 2, r):
+        for _ in range(12):
+            mat = np.array(rand_mat(rng, f, r, n), dtype=np.uint8)
+            zero = mat.copy()
+            zero[:, rng.randrange(n)] = 0
+            twin = mat.copy()
+            a, b = rng.sample(range(n), 2)
+            twin[:, b] = twin[:, a]
+            for m in (mat, zero, twin):
+                want = not dependent_subsets(f, m, size)
+                assert independent_subsets(f, m, size) is want
+            assert not independent_subsets(f, zero, size)
+            assert size == 1 or not independent_subsets(f, twin, size)
+
+
+@pytest.mark.parametrize("f", KERNEL_FIELDS[1:], ids=lambda f: f"GF{f.q}")
+def test_independent_subsets_reaches_the_last_subset(f):
+    rng = random.Random(90 + f.q)
+    n = min(f.q, 7)
+    r = min(4, n - 1)
+    for size in range(1, r + 1):
+        mat = planted_last(f, rng, r, n, size)
+        assert not independent_subsets(f, mat, size)
+        assert independent_subsets(f, mat[:, :-1], size)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_independent_subsets_across_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "RANK_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for f in (F7, F9, F64):
+        for size in (2, 3, 4):
+            mat = planted_last(f, rng, 4, 7, size)
+            assert not independent_subsets(f, mat, size)
+            assert independent_subsets(f, mat[:, :-1], size)
+            mat = np.array(rand_mat(rng, f, 4, 9), dtype=np.uint8)
+            assert independent_subsets(f, mat, size) is not dependent_subsets(f, mat, size)
 
 
 @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 3), (9, 2)])

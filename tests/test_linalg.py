@@ -202,6 +202,16 @@ def test_mds_verify_rejects_non_mds():
     f = build_field(2)
     c = linear_code(f, [(1, 0, 0, 0), (0, 1, 1, 1)])
     assert mds_verify(c) is False
+    # table fields: a Vandermonde generator is MDS until one column is made
+    # proportional to another, checked on the generator side (k <= n - k)
+    # and on the parity side (k > n - k)
+    for f in (build_field(7, 2), build_field(2, 6)):
+        for k in (3, 6):
+            rows = [[f.pow(x, i) for x in range(8)] for i in range(k)]
+            assert mds_verify(linear_code(f, rows)) is True
+            for row in rows:
+                row[7] = f.mul(f.generator, row[2])
+            assert mds_verify(linear_code(f, rows)) is False
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 8, 4), (3, 7, 3), (4, 6, 3), (5, 5, 2)])
