@@ -141,6 +141,29 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
     return lead
 
 
+def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """For each pair (node, col): the node's matrix after the rank-1 update
+    that clears column col, without the pivot row (the first nonzero entry
+    of that column, which must exist)."""
+    t = field.np_tables()
+    p = _elimination_prime(field)
+    colv = pm[node, :, col]
+    ar = np.arange(len(node))
+    piv = np.argmax(colv != 0, axis=1)
+    keep = np.arange(pm.shape[1] - 1)[None, :]
+    keep = keep + (keep >= piv[:, None])
+    inv = t.inv[colv[ar, piv]][:, None]
+    if p:
+        fac = (colv[ar[:, None], keep] * inv % p)[:, :, None]
+        upd = (p - 1) * fac * pm[node, piv, :][:, None, :]
+        upd += pm[node[:, None], keep, :]
+        upd %= p
+        return upd
+    fac = t.mul[colv[ar[:, None], keep], inv][:, :, None]
+    upd = t.mul[fac, pm[node, piv, :][:, None, :]]
+    return t.sub[pm[node[:, None], keep, :], upd]
+
+
 def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
     """True when every `size` columns of the (r, n) matrix are independent,
     for 1 <= size <= r.
@@ -155,49 +178,33 @@ def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
     which bounds memory, and the walk stops at the first dependent column
     that still leaves room for a whole subset.
     """
-    t = field.np_tables()
-    p = _elimination_prime(field)
     n = mat.shape[1]
     cols = np.arange(n)
 
-    def frontier(j, last):
+    def walk(j, pm, last):
         # child columns: after the last prefix column, and early enough to
         # leave room for the size - j - 1 columns still to come
-        return (cols > last[:, None]) & (cols <= n - size + j)
-
-    # (level j, node matrices P, child columns per node, next parent)
-    stack = [(0, mat[None], frontier(0, np.full(1, -1)), 0)]
-    while stack:
-        j, pm, kids, start = stack.pop()
-        if start == 0:
-            if (kids & ~pm.any(axis=1)).any():
+        kids = cols > last[:, None]
+        kids &= cols <= n - size + j
+        dead = pm.any(axis=1)
+        np.logical_not(dead, out=dead)  # in place: the leaf level is the widest
+        dead &= kids
+        if dead.any():
+            return False
+        if j == size - 1:
+            return True
+        fan = np.cumsum(kids.sum(axis=1))
+        start = 0
+        while start < len(fan):
+            base = fan[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(fan, base + RANK_CHUNK, side="right")))
+            node, col = np.nonzero(kids[start:stop])
+            if len(node) and not walk(j + 1, _clear_column(field, pm, node + start, col), col):
                 return False
-            if j == size - 1:
-                continue
-        fan = np.cumsum(kids[start:].sum(axis=1))
-        stop = start + max(1, int(np.searchsorted(fan, RANK_CHUNK, side="right")))
-        if stop < len(kids):
-            stack.append((j, pm, kids, stop))
-        node, col = np.nonzero(kids[start:stop])
-        if not len(node):
-            continue
-        node += start
-        colv = pm[node, :, col]
-        ar = np.arange(len(node))
-        piv = np.argmax(colv != 0, axis=1)
-        prow = pm[node, piv, :]
-        inv = t.inv[colv[ar, piv]][:, None]
-        prow = prow * inv % p if p else t.mul[prow, inv]
-        keep = np.arange(pm.shape[1] - 1)[None, :]
-        keep = keep + (keep >= piv[:, None])
-        fac = colv[ar[:, None], keep][:, :, None]
-        rest = pm[node[:, None], keep, :]
-        if p:
-            child = (rest + (p - 1) * fac * prow[:, None, :]) % p
-        else:
-            child = t.sub[rest, t.mul[fac, prow[:, None, :]]]
-        stack.append((j + 1, child, frontier(j + 1, col), 0))
-    return True
+            start = stop
+        return True
+
+    return walk(0, mat[None], np.full(1, -1))
 
 
 def projective_count(q: int, k: int) -> int:
