@@ -15,6 +15,7 @@ from functools import cached_property
 
 from .errors import (
     BadDistance,
+    Contradiction,
     DescentFailure,
     NotGaloisStable,
     TowerTooLarge,
@@ -151,7 +152,9 @@ def mds_spec(Q: int, d: int) -> ConstacyclicSpec:
         zset = range(1 - mu, mu + 1)
         s = _norm_shift_log(fld)
     spec = ConstacyclicSpec(fld, n, s, tuple(z % n for z in zset))
-    assert len(spec.defining_set) == deficiency
+    zeros = len(spec.defining_set)
+    if zeros != deficiency:
+        raise Contradiction(f"defining set has {zeros} zeros, not {deficiency}")
     return spec
 
 

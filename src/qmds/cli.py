@@ -109,8 +109,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _word_from_witness(rec) -> tuple:
-    """The word a witness record describes, after checking its shape."""
+def _witness_entries(rec) -> dict:
+    """The entries a witness record lists, as position -> value, after
+    checking its shape.  Sparse, so that a claimed length, however large,
+    allocates nothing."""
     q, n, support, values = rec["q"], rec["n"], rec["support"], rec["values"]
     if not (isinstance(support, list) and isinstance(values, list)):
         raise QmdsError("witness support and values must be lists")
@@ -120,14 +122,12 @@ def _word_from_witness(rec) -> tuple:
         raise QmdsError("witness support and values differ in length")
     if len(set(support)) != len(support):
         raise QmdsError("witness support repeats a position")
-    word = [0] * n
     for pos, val in zip(support, values):
         if not (0 <= pos < n):
             raise QmdsError(f"witness position {pos} outside the code length")
         if not (0 <= val < q):
             raise QmdsError(f"witness value {val} outside GF({q})")
-        word[pos] = val
-    return tuple(word)
+    return dict(zip(support, values))
 
 
 def _presence_row(res, q, d, n, seed):
@@ -272,12 +272,13 @@ def cmd_verify(args, out) -> int:
     q, d, n = rec["q"], rec["d"], rec["n"]
     if not all(_is_int(x) for x in (q, d, n)):
         raise QmdsError("witness q, d and n must be integers")
-    word = _word_from_witness(rec)
-    weight = sum(1 for v in word if v)
+    entries = _witness_entries(rec)
+    weight = sum(1 for v in entries.values() if v)
     checks = {"weight_matches": weight == rec["weight"] == len(rec["support"])}
     spec = mds_spec(q * q, d)
     pc = puncture_spectral(spec)
     checks["length_matches"] = pc.base.n == n
+    word = tuple(entries.get(i, 0) for i in range(pc.base.n))
     checks["in_puncture_code"] = bool(
         checks["length_matches"] and in_puncture_code(pc, word)
     )
@@ -301,7 +302,8 @@ def cmd_verify(args, out) -> int:
 def cmd_conjectures(args, out) -> int:
     budget = _budget(args)
     lo, hi = _parse_range(args.q)
-    rows = conjecture_report(range(lo, hi + 1), budget)
+    # alphabets start at 2, so a far negative low end is not walked
+    rows = conjecture_report(range(max(lo, 2), hi + 1), budget)
     if not rows:
         raise QmdsError(f"alphabet range {args.q!r} holds no supported alphabet")
     ms = [m for m in (1, 2, 3, 4) if lo <= 2**m <= hi]
@@ -539,8 +541,15 @@ def cmd_reproduce(args, out) -> int:
     return {"ok": 0, "mismatch": 1, "undecided": 3}[worst]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmds",
         description="Exact construction and verification of quantum MDS codes.",
     )

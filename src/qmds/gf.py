@@ -314,11 +314,12 @@ def _spot_check(f: FieldTable) -> None:
 
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, m: int = 1) -> FieldTable:
-    if not _is_prime(p):
+    # a p or m past the size cap is refused without trial division or p**m
+    if p <= MAX_FIELD_ORDER and not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise TooLarge(f"extension degree must be positive, got {m}")
-    if p**m > MAX_FIELD_ORDER:
+    if p > MAX_FIELD_ORDER or m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER:
         raise TooLarge(f"field order {p}**{m} exceeds {MAX_FIELD_ORDER}")
     f = FieldTable(p, m)
     _spot_check(f)
@@ -329,6 +330,8 @@ def field_for_order(q: int) -> FieldTable:
     """The canonical field with exactly q elements."""
     if q < 2:
         raise UnsupportedAlphabet(f"no field of order {q}")
+    if q > MAX_FIELD_ORDER:
+        raise TooLarge(f"field order {q} exceeds {MAX_FIELD_ORDER}")
     p = 2
     while p * p <= q:
         if q % p == 0:

@@ -35,13 +35,16 @@ def np_matrix(field, rows, ncols: int) -> np.ndarray:
 def gf_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact (x, k) @ (k, y) product over the field: the one encode kernel.
 
-    Over GF(p) this is an int32 matmul reduced mod p, used while the k
-    products of at most (p-1)**2 each cannot overflow int32; otherwise a
-    loop of table gathers.
+    Over GF(p) this is a float32 (BLAS) matmul reduced mod p, used while
+    k * (p-1)**2 < 2**24: every partial sum is then an integer that float32
+    holds exactly, whatever the summation order.  Otherwise a loop of table
+    gathers.
     """
     p = field.p
-    if field.m == 1 and p <= MAX_TABLE_ORDER and a.shape[1] * (p - 1) ** 2 < 2**31:
-        return (a.astype(np.int32) @ b.astype(np.int32) % p).astype(np.uint8)
+    if field.m == 1 and p <= MAX_TABLE_ORDER and a.shape[1] * (p - 1) ** 2 < 2**24:
+        out = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
+        out %= p
+        return out.astype(np.uint8)
     t = field.np_tables()
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
     for j in range(a.shape[1]):
@@ -52,32 +55,36 @@ def gf_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rref(field, rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    """Reduced row echelon form.  Returns (rows, pivot_columns), the rows as
+    lists of Python ints.
+
+    Eliminates a uint8 copy through the field's lookup tables: each pivot
+    clears its column from every other row in one rank-1 update.
+    """
+    if not len(rows):
         return [], []
-    ncols = len(mat[0])
+    t = field.np_tables()
+    mat = np.array(rows, dtype=np.uint8)
+    nrows, ncols = mat.shape
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
+        # any nonzero entry may pivot: the reduced form is unique
+        pr = r + int(mat[r:, c].argmax())
+        lead = mat[pr, c]
+        if not lead:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        lead = mat[r][c]
-        if lead != 1:
-            inv = field.inv(lead)
-            mat[r] = [field.mul(inv, x) for x in mat[r]]
-        top = mat[r]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f:
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], top)]
+        top = t.mul[t.inv[lead], mat[pr, c:]]
+        # rows r.. are zero left of c, so row r moves to pr and the update
+        # touches columns c.. only; it zeroes row r, which then takes top
+        mat[pr, c:] = mat[r, c:]
+        mat[:, c:] = t.sub[mat[:, c:], t.mul[mat[:, c, None], top]]
+        mat[r, c:] = top
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == nrows:
             break
-    return mat[:r], pivots
+    return mat[:r].tolist(), pivots
 
 
 def null_space(field, rows, ncols: int):
@@ -99,46 +106,51 @@ def null_space(field, rows, ncols: int):
 def _elimination_prime(field) -> int:
     """p when batch_rank can eliminate over GF(p) in uint8 integers, else 0.
 
-    A row update forms sub + (p-1)*fac*prow before reducing it mod p.  Its
-    largest value (p-1) + (p-1)**3 must fit uint8, which holds for p <= 7.
+    A row update forms sub + col * (-1/pivot) * prow before reducing it mod
+    p, each of the three factors below p.  Its largest value
+    (p-1) + (p-1)**3 must fit uint8, which holds for p <= 7.
     """
     p = field.p
     return p if field.m == 1 and (p - 1) + (p - 1) ** 3 <= 255 else 0
 
 
 def batch_rank(field, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, r, w) stack of matrices by lockstep elimination."""
+    """Ranks of a (B, r, w) stack of matrices by lockstep elimination.
+
+    Each step takes the first remaining column.  A matrix whose column is
+    nonzero gains a pivot, its last nonzero row, and the column is cleared
+    from every row, the pivot row included: that row becomes zero and can
+    never pivot again, so no row is swapped or masked.  The column is then
+    dropped, and the stack narrows by one column per step.  The stack is
+    held column-major with the batch last, so every update runs along
+    contiguous memory.
+    """
     t = field.np_tables()
     p = _elimination_prime(field)
-    m = np.array(mats, dtype=np.uint8, copy=True)
-    nb, r, w = m.shape
-    if nb == 0:
-        return np.zeros(0, dtype=np.int64)
-    lead = np.zeros(nb, dtype=np.int64)
-    rows = np.arange(r)
-    for col in range(w):
-        cand = (m[:, :, col] != 0) & (rows[None, :] >= lead[:, None])
-        act = cand.any(axis=1)
-        if not act.any():
-            continue
-        sub = m[act]
-        lr = lead[act]
-        ar = np.arange(sub.shape[0])
-        piv = np.argmax(cand[act], axis=1)
-        prow = sub[ar, piv, :].copy()
-        sub[ar, piv, :] = sub[ar, lr, :]
-        inv = t.inv[prow[ar, col]][:, None]
-        prow = prow * inv % p if p else t.mul[prow, inv]
-        sub[ar, lr, :] = prow
-        below = rows[None, :] > lr[:, None]
-        fac = np.where(below, sub[:, :, col], 0)
+    m = np.ascontiguousarray(np.asarray(mats, dtype=np.uint8).transpose(2, 1, 0))
+    w, r, nb = m.shape
+    rank = np.zeros(nb, dtype=np.int64)
+    ar = np.arange(nb)
+    rows1 = np.arange(1, r + 1, dtype=np.min_scalar_type(r))[:, None]
+    for _ in range(w):
+        col = m[0]
+        last = ((col != 0) * rows1).max(axis=0)  # pivot row + 1, or 0
+        has = last != 0
+        rank += has
+        piv = last - has
+        # a zero column picks row 0, whose zero entry has table inverse 0:
+        # every factor is then zero and the matrix stays as it is
+        inv = t.inv[col[piv, ar]]
+        prow = m[1:, piv, ar][:, None, :]
         if p:
-            sub = (sub + (p - 1) * fac[:, :, None] * prow[:, None, :]) % p
+            # m - col/pivot * prow, each factor below p before the sum
+            upd = col * ((p - inv) % p) * prow
+            upd += m[1:]
+            upd %= p
         else:
-            sub = t.sub[sub, t.mul[fac[:, :, None], prow[:, None, :]]]
-        m[act] = sub
-        lead[act] = lr + 1
-    return lead
+            upd = t.sub[m[1:], t.mul[t.mul[col, inv], prow]]
+        m = upd
+    return rank
 
 
 def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> np.ndarray:

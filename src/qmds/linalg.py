@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatch,
     NotASubcode,
     NotQuadraticTower,
+    QmdsError,
     ZeroDimensional,
 )
 from .gf import FieldTable, SubfieldEmbedding, build_field, conjugate, embed
@@ -105,7 +106,7 @@ def dual(code: LinearCode, kind: str = "euclidean") -> LinearCode:
             tuple(conjugate(f, x) for x in row) for row in code.parity_rows
         ]
         return linear_code(f, rows, code.n)
-    raise ValueError(f"unknown dual kind {kind!r}")
+    raise QmdsError(f"unknown dual kind {kind!r}")
 
 
 def is_subcode(sub: LinearCode, sup: LinearCode) -> bool:

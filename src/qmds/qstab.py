@@ -19,6 +19,7 @@ from .errors import (
     BadCoordinate,
     BadDistance,
     BadS,
+    Contradiction,
     DistanceOne,
     NotKnown,
     NotPure,
@@ -116,7 +117,8 @@ def stabilizer_from_self_orthogonal(
             q0, n, 0, mw.floor, "yes", mw.exact, prov + ("zero-logical-convention",)
         )
     dstar_floor = d_floor if mw is None else max(mw.floor, d_floor)
-    assert dstar_floor <= cap
+    if dstar_floor > cap:
+        raise Contradiction(f"floor {dstar_floor} on d(D*) exceeds the Singleton cap")
     if prefer_relative is None:
         prefer_relative = WordSearch(dstar, d_code).enum_cost <= budget.enum
     rel = None
@@ -129,7 +131,8 @@ def stabilizer_from_self_orthogonal(
     if rel is None:
         rel = min_weight_relative(dstar, d_code, budget)
     if rel.exact:
-        assert rel.value <= cap
+        if rel.value > cap:
+            raise Contradiction(f"relative minimum {rel.value} exceeds the cap {cap}")
         if mw is not None and mw.exact:
             pure = "yes" if mw.value == rel.value else "no"
         else:
@@ -158,7 +161,8 @@ def shorten_params(p: QuantumCodeParams, s: int) -> QuantumCodeParams:
         p.q, p.n - s, p.k + s, p.d - s, "yes", p.d_exact,
         p.provenance + (f"shorten(s={s})",),
     )
-    assert qmds_check(child)
+    if not qmds_check(child):
+        raise Contradiction("length reduction of a QMDS record is not QMDS")
     return child
 
 
@@ -204,7 +208,8 @@ def _zero_sum_full_word(f, n: int) -> tuple[int, ...]:
     g = f.generator
     total = f.add(f.sub(total, 1), g)
     last = f.neg(total)
-    assert last
+    if not last:
+        raise Contradiction(f"no full-weight zero-sum word of length {n}")
     return tuple([1] * (n - 2) + [g, last])
 
 
@@ -242,7 +247,10 @@ def family_distance2(q: int, n: int, budget: SearchBudget = DEFAULT_BUDGET):
     params = stabilizer_from_self_orthogonal(
         d_code, budget, d_floor=2, provenance=("repetition-pipeline", f"w={n}")
     )
-    assert (params.n, params.k, params.d, params.d_exact) == (n, n - 2, 2, True)
+    if (params.n, params.k, params.d, params.d_exact) != (n, n - 2, 2, True):
+        raise Contradiction(
+            f"repetition pipeline gave {params.label()}, not an exact [[{n},{n - 2},2]]"
+        )
     return params, x
 
 
@@ -280,9 +288,11 @@ def family_q2plus1(
     spec = mds_spec(Q, d)
     cstar = build_code(spec)
     c_small = dual(cstar, "hermitian")
-    assert cstar.k == n + 1 - d and c_small.k == d - 1
+    if cstar.k != n + 1 - d or c_small.k != d - 1:
+        raise Contradiction(f"MDS code of distance {d} has dimension {cstar.k}")
     floor = bch_ht_bound(spec)
-    assert floor >= d
+    if floor < d:
+        raise Contradiction(f"BCH/HT bound {floor} is below the design distance {d}")
     pc = puncture_spectral(spec)
     wmin = max(2 * (d - 1), 1)
     wlist = list(weights) if weights is not None else list(range(wmin, n + 1))
@@ -294,14 +304,18 @@ def family_q2plus1(
             continue
         w = res.weight
         d_code = rescale_self_orthogonal(c_small, res.witness)
-        assert d_code.k == d - 1
+        if d_code.k != d - 1:
+            raise Contradiction("rescaling changed the dimension of the code")
         params = stabilizer_from_self_orthogonal(
             d_code, budget, d_floor=floor,
             prefer_relative=True if q <= 3 else None,
             provenance=(f"mds({Q},{d})", pc.source, f"w={w}", "rescale"),
         )
         if params.d_exact:
-            assert params.d == d and qmds_check(params)
+            if params.d != d or not qmds_check(params):
+                raise Contradiction(
+                    f"exact record {params.label()} is not QMDS of distance {d}"
+                )
         records.append(params)
         witnesses[w] = res.witness
     guaranteed = (q % 2 == 1) or (d % 2 == 1)
@@ -309,7 +323,7 @@ def family_q2plus1(
         by_w = {r.weight: r for r in presence}
         full = by_w.get(n)
         if full is not None and full.verdict == "ProvenAbsent":
-            raise RuntimeError(
+            raise Contradiction(
                 "full-weight word guaranteed by the parity argument is missing"
             )
     return FamilyScan(q, d, spec, pc, presence, records, witnesses, guaranteed)
@@ -338,9 +352,11 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
         tail[e] = 1
         hrows.append(row + tail)
     c_code = linear_code(big, [[conjugate(big, x) for x in row] for row in hrows], n)
-    assert c_code.k == 3
+    if c_code.k != 3:
+        raise Contradiction(f"norm-triple code has dimension {c_code.k}, not 3")
     cstar = code_from_parity(big, hrows, n)
-    assert dual(cstar, "hermitian") == c_code
+    if dual(cstar, "hermitian") != c_code:
+        raise Contradiction("norm-triple code is not the Hermitian dual of its dual")
     pc = puncture_direct(c_code)
     emb = embed(small, big)
     norm_profiles = []
@@ -353,7 +369,8 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
             # individually these rows sit in P(C) only when the inverted
             # norm beta generates a nontrivial subgroup; over GF(2) just
             # the combination built below lands in P(C)
-            assert pc.base.contains(prof)
+            if not pc.base.contains(prof):
+                raise Contradiction("norm profile is not in the puncture code")
         norm_profiles.append(prof)
     coeff = None
     for g1 in range(q):
@@ -366,19 +383,24 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
                 break
         if coeff:
             break
-    assert coeff is not None
+    if coeff is None:
+        raise Contradiction("no combination of the norm profiles has full weight")
     g0, g1 = coeff
     x = [
         small.add(small.add(small.mul(g0, a), small.mul(g1, b)), c)
         for a, b, c in zip(*norm_profiles)
     ]
-    assert all(x) and pc.base.contains(x)
+    if not (all(x) and pc.base.contains(x)):
+        raise Contradiction("norm-triple witness is not a full-weight word of P(C)")
     d_code = rescale_self_orthogonal(c_code, tuple(x))
     params = stabilizer_from_self_orthogonal(
         d_code, budget,
         provenance=("norm-triple-family", f"m={m}", f"quadratic=({g1},{g0})"),
     )
-    assert (params.n, params.k, params.d, params.d_exact) == (n, n - 6, 4, True)
+    if (params.n, params.k, params.d, params.d_exact) != (n, n - 6, 4, True):
+        raise Contradiction(
+            f"norm-triple family gave {params.label()}, not an exact [[{n},{n - 6},4]]"
+        )
     pc.record(x)
     return params, tuple(x), d_code, pc
 

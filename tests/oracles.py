@@ -129,27 +129,39 @@ def is_member(code, word):
     return _rank(f, base + [list(word)]) == _rank(f, base)
 
 
-def _rank(f: FieldTable, rows):
+def rref(f: FieldTable, rows):
+    """Reduced row echelon form, one field operation at a time on lists of
+    Python ints: first nonzero row as pivot, swapped up, scaled, then
+    cleared from every other row.  Returns (rows, pivot_columns)."""
     mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = f.inv(mat[rank][col])
-        mat[rank] = [f.mul(inv, x) for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        mat[r], mat[pr] = mat[pr], mat[r]
+        lead = mat[r][c]
+        if lead != 1:
+            inv = f.inv(lead)
+            mat[r] = [f.mul(inv, x) for x in mat[r]]
+        top = mat[r]
+        for i in range(len(mat)):
+            g = mat[i][c]
+            if i != r and g:
+                mat[i] = [f.sub(x, f.mul(g, y)) for x, y in zip(mat[i], top)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _rank(f: FieldTable, rows):
+    return len(rref(f, rows)[0])
 
 
 def _times_x(v, p, lows):

@@ -1,11 +1,19 @@
 """End-to-end command line behavior, run in process through main(argv)."""
 
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qmds
 from qmds.cli import main
+from qmds.gf import MAX_FIELD_ORDER
 
 
 def run(capsys, *argv):
@@ -237,6 +245,32 @@ def test_contradiction_exits_one(capsys, monkeypatch):
     assert err == "error: exp table for GF(2**3) did not close\n"
 
 
+def test_broken_invariant_exits_one(capsys, monkeypatch):
+    import qmds.qstab
+
+    monkeypatch.setattr(qmds.qstab, "_PIPELINE_CACHE", {})
+    monkeypatch.setattr(qmds.qstab, "bch_ht_bound", lambda spec: 1)
+    status, out, err = run(capsys, "qmds", "3", "3")
+    assert status == 1
+    assert out == ""
+    assert err == "error: BCH/HT bound 1 is below the design distance 3\n"
+
+
+def test_optimised_interpreter_prints_the_same_bytes():
+    """Invariant checks are raises, not asserts, so -O changes nothing."""
+    src = os.path.dirname(os.path.dirname(qmds.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "qmds", "q2p2", "2"],
+                       capture_output=True, env=env, timeout=300)
+        for flags in ([], ["-O"])
+    ]
+    plain, optimised = runs
+    assert plain.returncode == 0 and plain.stdout
+    assert (optimised.returncode, optimised.stdout, optimised.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+
+
 def test_thread_env_is_tolerated(capsys, monkeypatch):
     monkeypatch.setenv("QMDS_THREADS", "not-a-number")
     status, _ = run_json(capsys, "field", "3")
@@ -244,3 +278,91 @@ def test_thread_env_is_tolerated(capsys, monkeypatch):
     monkeypatch.setenv("QMDS_THREADS", "8")
     status, _ = run_json(capsys, "field", "3")
     assert status == 0
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Every drawn argv is malformed or names an alphabet of at most 3, so each
+# example runs in well under a second.
+# a command line cannot hold a NUL byte
+JUNK = st.text(st.characters(blacklist_characters="\x00"), max_size=6).filter(_not_an_int)
+SMALL = st.one_of(st.integers(max_value=3), st.integers(min_value=MAX_FIELD_ORDER + 1))
+ANY_INT = st.integers()
+ARG = st.one_of(SMALL.map(str), JUNK)
+DIST = st.one_of(ANY_INT.map(str), JUNK)
+RANGE = st.one_of(
+    JUNK,
+    st.tuples(ANY_INT, ANY_INT).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    st.tuples(ANY_INT, st.integers(max_value=3)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    ANY_INT.map(lambda a: f"{a}.."),
+)
+SMALL_RANGE = st.one_of(
+    JUNK,
+    st.integers(max_value=3).map(str),
+    st.tuples(ANY_INT, st.integers(max_value=3)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    st.tuples(JUNK, ANY_INT).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+)
+JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=4),
+    SMALL, st.integers(-3, 12), st.lists(st.integers(-2, 12), max_size=12),
+    st.lists(st.one_of(st.integers(0, 3), st.text(max_size=2)), max_size=4),
+)
+WITNESS = st.one_of(
+    st.text(max_size=20),
+    st.dictionaries(
+        st.sampled_from(["q", "d", "n", "weight", "support", "values", "seed"]),
+        JSON_VALUE, max_size=7,
+    ).map(json.dumps),
+    st.fixed_dictionaries({
+        "q": st.one_of(SMALL, JSON_VALUE), "d": JSON_VALUE, "n": JSON_VALUE,
+        "weight": JSON_VALUE, "support": JSON_VALUE, "values": JSON_VALUE,
+    }).map(json.dumps),
+)
+ARGV = st.one_of(
+    st.tuples(st.just("field"), ARG, st.one_of(st.integers(max_value=1).map(str),
+                                               st.integers(min_value=17).map(str), JUNK)),
+    st.tuples(st.just("mds"), ARG, DIST),
+    st.tuples(st.just("pc"), ARG, DIST, st.just("--route"),
+              st.one_of(st.sampled_from(["direct", "spectral", "both"]), JUNK)),
+    st.tuples(st.just("weights"), ARG, DIST, st.just("--range"), RANGE),
+    st.tuples(st.just("qmds"), ARG, DIST),
+    st.tuples(st.just("q2p2"), st.one_of(st.integers(max_value=1).map(str),
+                                         st.integers(min_value=5).map(str), JUNK)),
+    st.tuples(st.just("shorten"), st.one_of(JUNK, st.just("3:10:4:4"), st.just("2:6:0:4")),
+              DIST),
+    st.tuples(st.just("conjectures"), st.just("--q"), SMALL_RANGE),
+    st.tuples(st.just("figdata"), ARG),
+    st.tuples(st.sampled_from(["--seed", "--budget-enum", "--budget-samples"]), JUNK,
+              st.just("field"), st.just("2")),
+    st.lists(JUNK, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=ARGV, witness=WITNESS)
+def test_malformed_argv_never_crashes(tmp_path_factory, argv, witness):
+    """Exit status 0..3, at most one stderr line, never a traceback."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz-witness.json"
+    path.write_text(witness)
+    home = os.getcwd()
+    os.chdir(base)  # junk argv may abbreviate --output
+    try:
+        for args in (argv, ("verify", str(path))):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(list(args))
+                except SystemExit as exc:
+                    status = exc.code
+            text = err.getvalue()
+            assert status in (0, 1, 2, 3), (args, status, text)
+            assert text.count("\n") <= 1 and "Traceback" not in text, (args, text)
+    finally:
+        os.chdir(home)

@@ -10,7 +10,12 @@ last five were recorded at commit 404af8d, before the modulus search used
 order tests and before mds_verify walked a prefix tree of column subsets:
 `field 2 12` and `field 7 4` print moduli that search found, and the
 `mds` cases print the verdict of that check over GF(64), GF(49) (both
-table fields, parity side) and GF(9).
+table fields, parity side) and GF(9).  The last four were recorded at
+commit 23533b4, before gf_matmul multiplied in float32, batch_rank
+narrowed its stacks and rref ran on numpy: `qmds 5 4` and
+`--budget-enum 2500000 qmds 5 5` are the scans, probes, sampling and
+enumeration over GF(5), the `pc` cases RREF-heavy builds over GF(64) and
+GF(7).
 """
 
 import hashlib
@@ -59,6 +64,15 @@ GOLDEN = [
      "e63f31d4a58834f1c950ab0dcbe10a1517a785362ccf1f341994bdd48f4504fd", 0),
     (("mds", "9", "4"),
      "c6ac26910fbaf318e2a260ead270ba1f8c0972098fa720cc1fabedfa392ea9e0", 0),
+    # the encode, rank and RREF kernels
+    (("qmds", "5", "4"),
+     "da50b85ffd257d39c069a4a8c9dab746ea3cf96cfe150ae842ada2664409fbfc", 0),
+    (("--budget-enum", "2500000", "qmds", "5", "5"),
+     "89fd1becd1485c3bbea5b097ff8b0d0ef0fae730f240d95c944025292e770064", 0),
+    (("pc", "8", "2", "--route", "both"),
+     "205a587e74153203d317e5dd76c76081859fe1e27aa569058f980fd9faaa3bec", 0),
+    (("pc", "7", "4", "--route", "both"),
+     "5c122b82b51e06b09734bb73c3dbd28128459ec0be6c99f7e66f9bdb6265606b", 0),
 ]
 
 

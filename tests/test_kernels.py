@@ -46,6 +46,15 @@ def rand_mat(rng, f, rows, cols):
     return [[rng.randrange(f.q) for _ in range(cols)] for _ in range(rows)]
 
 
+def rank_deficient_mat(rng, f, rows, cols, rank):
+    """A rows x cols matrix of rank at most `rank`: a product through rank."""
+    if rank == 0:
+        return [[0] * cols for _ in range(rows)]
+    left = rand_mat(rng, f, rows, rank)
+    right = rand_mat(rng, f, rank, cols)
+    return [list(scalar_encode(f, row, right)) for row in left]
+
+
 def scalar_encode(f, msg, gen):
     """sum_j msg[j] * gen[j], one field operation at a time."""
     word = [0] * len(gen[0])
@@ -58,7 +67,7 @@ def base_q_digits(value, ndigits, q):
     return [(value // q**j) % q for j in range(ndigits - 1, -1, -1)]
 
 
-# GF(2), GF(3), GF(5), GF(7) take the integer matmul mod p, GF(4), GF(9) the table loop
+# GF(2), GF(3), GF(5), GF(7) take the float32 matmul mod p, GF(4), GF(9) the table loop
 @pytest.mark.parametrize("f", [F3, F4, F9, F2, F5, F7])
 def test_gf_matmul_matches_scalar_product(f):
     rng = random.Random(f.q)
@@ -73,6 +82,60 @@ def test_gf_matmul_matches_scalar_product(f):
                 for t in range(4):
                     acc = f.add(acc, f.mul(a[i][t], b[t][j]))
                 assert int(got[i, j]) == acc
+
+
+def test_gf_matmul_float32_bound(monkeypatch):
+    """At the largest k the float32 guard admits, the all-(p-1) product is
+    exact; one more column takes the table loop and agrees."""
+    f = build_field(7, 1)
+    k = (2**24 - 1) // 36
+    assert k * 36 < 2**24 <= (k + 1) * 36
+    tables = []
+    real = f.np_tables
+    monkeypatch.setattr(f, "np_tables", lambda: tables.append(1) or real())
+    for width, path in [(k, []), (k + 1, [1])]:
+        a = np.full((2, width), 6, dtype=np.uint8)
+        b = np.full((width, 3), 6, dtype=np.uint8)
+        want = a.astype(np.int64) @ b.astype(np.int64) % 7
+        assert (want == width * 36 % 7).all()
+        got = gf_matmul(f, a, b)
+        assert got.dtype == np.uint8
+        assert (got == want).all()
+        assert tables == path
+
+
+# prime fields with the uint8 update of batch_rank (GF(2), GF(5), GF(7)),
+# one past it (GF(11)), and table fields GF(4), GF(9), GF(64)
+RREF_FIELDS = [F2, F5, F7, F11, F4, F9, F64]
+
+
+def rref_cases(rng, f):
+    yield []
+    yield [[]]
+    yield [[0] * 5 for _ in range(3)]
+    for cols in (1, 6):
+        yield rand_mat(rng, f, 1, cols)
+    for rows, cols in [(4, 6), (6, 4), (5, 5), (3, 9)]:
+        for _ in range(6):
+            yield rand_mat(rng, f, rows, cols)
+        for rank in range(1, min(rows, cols)):
+            yield rank_deficient_mat(rng, f, rows, cols, rank)
+        mat = rand_mat(rng, f, rows, cols)
+        mat[rows // 2] = [0] * cols
+        yield mat
+        for row in mat:
+            row[cols // 2] = 0
+        yield mat
+
+
+@pytest.mark.parametrize("f", RREF_FIELDS, ids=lambda f: f"GF{f.q}")
+def test_rref_matches_scalar_reference(f):
+    rng = random.Random(40 + f.q)
+    for rows in rref_cases(rng, f):
+        red, pivots = rref(f, rows)
+        assert (red, pivots) == oracles.rref(f, rows)
+        assert all(type(x) is int for row in red for x in row)
+        assert type(pivots) is list and all(type(c) is int for c in pivots)
 
 
 @pytest.mark.parametrize("f", [F3, F4, F9])
@@ -113,29 +176,24 @@ def test_null_space_annihilates_and_fills(f):
     assert null_space(f, eye, 4) == []
 
 
-def rank_deficient_mat(rng, f, rows, cols, rank):
-    """A rows x cols matrix of rank at most `rank`: a product through rank."""
-    left = rand_mat(rng, f, rows, rank)
-    right = rand_mat(rng, f, rank, cols)
-    return [list(scalar_encode(f, row, right)) for row in left]
-
-
 # GF(11) and GF(13) are past the uint8 bound of the mod-p elimination and
 # must take the table path to come out right
 @pytest.mark.parametrize("f", [F3, F4, F9, F2, F5, F7, F11, F13])
 def test_batch_rank_matches_per_matrix_rank(f):
     rng = random.Random(30 + f.q)
-    for r, w in [(4, 5), (6, 3), (3, 7)]:
+    for r, w in [(4, 5), (6, 3), (3, 7), (5, 1), (1, 4)]:
         mats = [rand_mat(rng, f, r, w) for _ in range(60)]
-        mats += [rank_deficient_mat(rng, f, r, w, rng.randrange(1, min(r, w)))
+        mats += [rank_deficient_mat(rng, f, r, w, rng.randrange(min(r, w)))
                  for _ in range(60)]
         mats.append([[0] * w for _ in range(r)])
         rng.shuffle(mats)
         got = batch_rank(f, np.array(mats, dtype=np.uint8))
-        want = [len(rref(f, m)[0]) for m in mats]
+        want = [oracles._rank(f, m) for m in mats]
         assert list(got) == want
-        assert want == [oracles._rank(f, m) for m in mats]
         assert min(want) < min(r, w)
+        zeros = batch_rank(f, np.zeros((7, r, w), dtype=np.uint8))
+        assert list(zeros) == [0] * 7
+        assert len(batch_rank(f, np.zeros((0, r, w), dtype=np.uint8))) == 0
 
 
 def test_mod_p_elimination_guard():

@@ -10,6 +10,7 @@ from qmds.errors import (
     FieldMismatch,
     LengthMismatch,
     NotASubcode,
+    QmdsError,
     ZeroDimensional,
 )
 from qmds.gf import build_field
@@ -124,6 +125,8 @@ def test_hermitian_dual(q):
         for u in c.gen:
             for v in h.gen:
                 assert hermitian_inner(f, u, v) == 0
+    with pytest.raises(QmdsError, match="unknown dual kind"):
+        dual(c, "symplectic")
 
 
 def test_code_from_parity_matches_dual():
