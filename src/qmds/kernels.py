@@ -42,8 +42,7 @@ def gf_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     p = field.p
     if field.m == 1 and p <= MAX_TABLE_ORDER and a.shape[1] * (p - 1) ** 2 < 2**24:
-        out = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
-        out %= p
+        out = _reduce_float32(a.astype(np.float32) @ b.astype(np.float32), p)
         return out.astype(np.uint8)
     t = field.np_tables()
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
@@ -52,6 +51,18 @@ def gf_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if col.any():
             out = t.add[out, t.mul[col[:, None], b[j][None, :]]]
     return out
+
+
+def _reduce_float32(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, for float32 integers 0 <= x < 2**24 and a prime
+    p <= 256.  The quotient is a true (correctly rounded) division: it
+    never rounds up across a multiple of p in that range, so its floor is
+    exact, and so are the product and the difference."""
+    q = x / np.float32(p)
+    np.floor(q, out=q)
+    q *= np.float32(p)
+    x -= q
+    return x
 
 
 def rref(field, rows):
@@ -242,20 +253,36 @@ def iter_projective_words(field, gen, chunk: int = ENUM_CHUNK, leads: int | None
     With leads=e only the first e rows lead, so the words are those of the
     row space outside the span of the last k - e rows, one per projective
     class of the first e rows' coefficients.
+
+    Each word costs one field addition.  Per lead row the low block, every
+    message over the last a rows in counter order (q**a <= chunk), is
+    encoded once, and so are the high words: the lead row plus the middle
+    rows, leading digit 1.  Each chunk is one high word added to the whole
+    low block, one addition-table gather per coordinate.
     """
-    g = np.array([list(r) for r in gen], dtype=np.uint8)
-    k = g.shape[0]
+    g = np.asarray(gen, dtype=np.uint8)
+    k, n = g.shape[0], g.shape[-1]
     q = field.q
+    add = field.np_tables().add
+    amax = 0
+    while q ** (amax + 1) <= chunk:
+        amax += 1
     for lead in range(k if leads is None else leads):
         tail = k - lead - 1
-        total = q**tail
-        done = 0
-        while done < total:
-            cnt = int(min(chunk, total - done))
-            # counting from q**tail makes the leading digit 1: the lead row
-            msgs = _counter_digits(total + done, cnt, tail + 1, q)
-            yield gf_matmul(field, msgs, g[lead:])
-            done += cnt
+        a = min(tail, amax)
+        nhigh = q ** (tail - a)
+        # counting from q**(tail-a) makes the leading digit 1: the lead row
+        high = gf_matmul(field, _counter_digits(nhigh, nhigh, tail - a + 1, q), g[lead:k - a])
+        if not a:
+            for start in range(0, nhigh, chunk):
+                yield high[start:start + chunk]
+            continue
+        low = gf_matmul(field, _counter_digits(0, q**a, a, q), g[k - a:])
+        # word h + low[i] at column c is add[h[c], low[i, c]]: entry
+        # low[i, c] + q*c of the flattened (n, q) rows add[h]
+        at = low + np.arange(0, q * n, q, dtype=np.intp)
+        for h in high:
+            yield add[h].ravel().take(at)
 
 
 def philox(seed: int, tag: int) -> np.random.Generator:
@@ -311,21 +338,20 @@ def probe_support(field, parity_np, support, need_full, reject, seed, tag):
     every projective candidate on this support was checked.
     """
     w = len(support)
-    cols = parity_np[:, list(support)]
-    rows = [[int(x) for x in row] for row in cols]
-    basis = null_space(field, rows, w)
+    basis = null_space(field, parity_np[:, list(support)], w)
     if not basis:
         return None, True
+    basis = np.array(basis, dtype=np.uint8)
     q = field.q
     if projective_count(q, len(basis)) <= SUBSCAN_EXACT_CAP:
-        for words in iter_projective_words(field, [tuple(b) for b in basis]):
+        for words in iter_projective_words(field, basis):
             hit = _first_passing(field, words, need_full, reject)
             if hit is not None:
                 return hit, True
         return None, True
     rng = philox(seed, tag)
     msgs = rng.integers(0, q, size=(SUBSCAN_SAMPLES, len(basis)), dtype=np.uint8)
-    words = gf_matmul(field, msgs, np.array(basis, dtype=np.uint8))
+    words = gf_matmul(field, msgs, basis)
     hit = _first_passing(field, words, need_full, reject)
     return hit, False
 
@@ -361,9 +387,14 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None,
             chunk = list(itertools.islice(combos, RANK_CHUNK))
             if not chunk:
                 return ScanOutcome(None, scanned, True, exhaustive)
-            idx = np.array(chunk, dtype=np.intp)
-            mats = np.ascontiguousarray(np.moveaxis(parity_np[:, idx], 1, 0))
-            ranks = batch_rank(field, mats)
+            idx = np.fromiter(
+                itertools.chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * w
+            ).reshape(-1, w)
+            # one copy, in batch_rank's (w, r, B) layout, passed as a (B, r, w) view
+            stack = np.empty((w, r, len(chunk)), dtype=np.uint8)
+            for j in range(w):
+                np.take(parity_np, idx[:, j], axis=1, out=stack[j])
+            ranks = batch_rank(field, stack.transpose(2, 1, 0))
             for h in np.nonzero(ranks < w)[0]:
                 support = chunk[int(h)]
                 counter = scanned + int(h)

@@ -11,6 +11,7 @@ from qmds.budgets import SAMPLE_CHUNK, SUBSCAN_EXACT_CAP
 from qmds.gf import build_field
 from qmds.kernels import (
     _elimination_prime,
+    _reduce_float32,
     batch_rank,
     gf_matmul,
     independent_subsets,
@@ -25,7 +26,7 @@ from qmds.kernels import (
     rref,
     scan_level,
 )
-from qmds.linalg import linear_code
+from qmds.linalg import WordSearch, linear_code
 
 import oracles
 
@@ -38,6 +39,7 @@ F9 = build_field(3, 2)
 F8 = build_field(2, 3)
 F11 = build_field(11, 1)
 F13 = build_field(13, 1)
+F25 = build_field(5, 2)
 F49 = build_field(7, 2)
 F64 = build_field(2, 6)
 
@@ -102,6 +104,31 @@ def test_gf_matmul_float32_bound(monkeypatch):
         assert got.dtype == np.uint8
         assert (got == want).all()
         assert tables == path
+
+
+def primes_to(top):
+    return [p for p in range(2, top + 1) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_float32_reduction_exact_on_every_value(p):
+    """x mod p by x - p*floor(x/p) in float32, for every x below 2**24."""
+    block = 2**21
+    for start in range(0, 2**24, block):
+        x = np.arange(start, start + block, dtype=np.int64)
+        got = _reduce_float32(x.astype(np.float32), p)
+        assert (got == x % p).all()
+
+
+def test_float32_reduction_exact_at_multiples():
+    """x = p*m - 1 and x = p*m below 2**24 for every prime p <= 256: the
+    quotient sits 1/p below an integer, or on one, so a rounding up of the
+    division would show here first."""
+    for p in primes_to(256):
+        m = np.arange(1, (2**24 - 1) // p + 1, dtype=np.int64)
+        for x in (p * m - 1, p * m):
+            got = _reduce_float32(x.astype(np.float32), p)
+            assert (got == x % p).all()
 
 
 # prime fields with the uint8 update of batch_rank (GF(2), GF(5), GF(7)),
@@ -297,7 +324,7 @@ def test_projective_iteration_covers_every_class_once(q, k):
     assert scaled == {tuple(w) for w in oracles.all_codewords(code)}
 
 
-@pytest.mark.parametrize("f", [F2, F3, F5, F7, F4, F9])
+@pytest.mark.parametrize("f", [F2, F3, F5, F7, F4, F9, F8, F25, F49, F64])
 @pytest.mark.parametrize("leads", [None, 1, 2])
 def test_projective_words_follow_scalar_encode_order(f, leads):
     rng = random.Random(50 + f.q)
@@ -314,6 +341,64 @@ def test_projective_words_follow_scalar_encode_order(f, leads):
                for words in iter_projective_words(f, gen, chunk=chunk, leads=leads)
                for w in words]
         assert got == want
+
+
+def scalar_projective_words(f, gen):
+    """Every word of the projective enumeration in its visiting order, one
+    scalar encode each, and the number of words per lead row."""
+    k = len(gen)
+    words, per_lead = [], []
+    for lead in range(k):
+        tail = k - lead - 1
+        for counter in range(f.q**tail):
+            msg = [0] * lead + [1] + base_q_digits(counter, tail, f.q)
+            words.append(scalar_encode(f, msg, gen))
+        per_lead.append(f.q**tail)
+    return np.array(words, dtype=np.uint8), per_lead
+
+
+# k = 8 over GF(2) and GF(3) puts several high words in one lead row at every
+# chunk below q**7; k = 9 over GF(3) does so at the default chunk 4096 too
+@pytest.mark.parametrize(
+    "f,k",
+    [(F2, 8), (F3, 8), (F3, 9), (F2, 1), (F3, 1), (F5, 1), (F4, 1), (F8, 1),
+     (F25, 1), (F49, 1), (F64, 1)],
+    ids=lambda v: f"GF{v.q}" if hasattr(v, "q") else f"k{v}",
+)
+def test_projective_words_match_scalar_encode_at_every_chunk(f, k):
+    rng = random.Random(80 + 10 * f.q + k)
+    n = 5
+    gen = rand_mat(rng, f, k, n)
+    want, per_lead = scalar_projective_words(f, gen)
+    q = f.q
+    for chunk in sorted({1, 2, max(q - 1, 1), q, q * q, 4096}):
+        for leads in [None, *range(1, k + 1)]:
+            chunks = list(iter_projective_words(f, gen, chunk=chunk, leads=leads))
+            assert all(1 <= len(c) <= chunk and c.dtype == np.uint8 for c in chunks)
+            got = np.vstack(chunks)
+            count = sum(per_lead[:leads])
+            assert got.shape == (count, n)
+            assert (got == want[:count]).all()
+
+
+@pytest.mark.parametrize("f,k,n", [(F4, 5, 7), (F9, 3, 6)], ids=["GF4", "GF9"])
+def test_word_search_enumeration_counts_match_brute_spectrum(f, k, n):
+    rng = random.Random(30 + f.q)
+    for _ in range(3):
+        code = linear_code(f, rand_mat(rng, f, k, n), n)
+        search = WordSearch(code)
+        search.enumerate()
+        assert search.exact_counts == oracles.brute_spectrum(code)
+        # relative sweep: the words of code outside a subcode of it
+        sub = linear_code(f, code.gen[: code.k // 2 + 1], n)
+        rel = WordSearch(code, sub)
+        rel.enumerate()
+        inside = set(oracles.all_codewords(sub))
+        counts = [0] * (n + 1)
+        for word in oracles.all_codewords(code):
+            if word not in inside:
+                counts[sum(1 for x in word if x)] += 1
+        assert rel.exact_counts == counts
 
 
 @pytest.mark.parametrize("f", [F2, F5, F7, F4, F9])
