@@ -8,7 +8,7 @@ a proven one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 DEFAULT_SEED = 0xC0DE
 
@@ -47,9 +47,6 @@ class SearchBudget:
     support: int = 10**10
     samples: int = 10**6
     seed: int = DEFAULT_SEED
-
-    def with_seed(self, seed: int) -> "SearchBudget":
-        return replace(self, seed=seed)
 
 
 DEFAULT_BUDGET = SearchBudget()

@@ -30,6 +30,7 @@ from .qstab import (
     distance4_char2_report,
     family_distance2,
     figdata,
+    norm_triple_code,
     qmds_check,
     run_pipeline,
     shorten_params,
@@ -275,8 +276,15 @@ def cmd_verify(args, out) -> int:
     entries = _witness_entries(rec)
     weight = sum(1 for v in entries.values() if v)
     checks = {"weight_matches": weight == rec["weight"] == len(rec["support"])}
-    spec = mds_spec(q * q, d)
-    pc = puncture_spectral(spec)
+    if q in (2, 4, 8, 16) and (n, d) == (q * q + 2, 4):
+        # a q2p2 witness: the norm-triple code, settled with no inherited floor
+        _, c_code, pc = norm_triple_code(q.bit_length() - 1)
+        floor, prov = 1, ("norm-triple-family",)
+    else:
+        spec = mds_spec(q * q, d)
+        pc = puncture_spectral(spec)
+        c_code = dual(build_code(spec), "hermitian")
+        floor, prov = bch_ht_bound(spec), (f"mds({q * q},{d})",)
     checks["length_matches"] = pc.base.n == n
     word = tuple(entries.get(i, 0) for i in range(pc.base.n))
     checks["in_puncture_code"] = bool(
@@ -286,11 +294,10 @@ def cmd_verify(args, out) -> int:
     ok = all(checks.values())
     if ok:
         support = [i for i, v in enumerate(word) if v]
-        c_small = dual(build_code(spec), "hermitian")
-        d_code = rescale_self_orthogonal(c_small, word)
+        d_code = rescale_self_orthogonal(c_code, word)
         params = stabilizer_from_self_orthogonal(
-            d_code, budget, d_floor=bch_ht_bound(spec),
-            provenance=(f"mds({q * q},{d})", "witness-file", f"w={weight}"),
+            d_code, budget, d_floor=floor,
+            provenance=prov + ("witness-file", f"w={weight}"),
         )
         payload["record"] = params.to_dict()
         ok = params.d_exact and params.d == d and len(support) == params.n

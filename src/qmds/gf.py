@@ -34,31 +34,11 @@ MAX_FIELD_ORDER = 1 << 16
 MAX_TABLE_ORDER = 256
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _digits(x: int, p: int, m: int) -> list[int]:
     out = []
     for _ in range(m):
         x, r = divmod(x, p)
         out.append(r)
-    return out
-
-
-def _undigits(ds, p: int) -> int:
-    out = 0
-    for d in reversed(ds):
-        out = out * p + d
     return out
 
 
@@ -99,18 +79,22 @@ def _mul_by_x(v: int, p: int, m: int, low: int) -> int:
     return v
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _prime_power_parts(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n by trial division, primes ascending;
+    empty for n < 2."""
+    parts = []
     r = 2
     while r * r <= n:
         if n % r == 0:
-            out.append(r)
+            a = 0
             while n % r == 0:
                 n //= r
+                a += 1
+            parts.append((r, a))
         r += 1
     if n > 1:
-        out.append(n)
-    return out
+        parts.append((n, 1))
+    return parts
 
 
 def _mulmod(a: list[int], b: list[int], p: int, low: list[int]) -> list[int]:
@@ -157,11 +141,13 @@ def _x_generates(p: int, m: int, low: int) -> bool:
     one = [1] + [0] * (m - 1)
     if _x_power(p, m, low, q - 1) != one:
         return False
-    return all(_x_power(p, m, low, (q - 1) // r) != one for r in _prime_factors(q - 1))
+    return all(
+        _x_power(p, m, low, (q - 1) // r) != one for r, _ in _prime_power_parts(q - 1)
+    )
 
 
 def _maximal_proper_divisors(m: int) -> list[int]:
-    return sorted(m // r for r in _prime_factors(m))
+    return sorted(m // r for r, _ in _prime_power_parts(m))
 
 
 def _norm_compatible(p: int, m: int, low: int) -> bool:
@@ -315,7 +301,7 @@ def _spot_check(f: FieldTable) -> None:
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, m: int = 1) -> FieldTable:
     # a p or m past the size cap is refused without trial division or p**m
-    if p <= MAX_FIELD_ORDER and not _is_prime(p):
+    if p <= MAX_FIELD_ORDER and _prime_power_parts(p) != [(p, 1)]:
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise TooLarge(f"extension degree must be positive, got {m}")
@@ -332,19 +318,10 @@ def field_for_order(q: int) -> FieldTable:
         raise UnsupportedAlphabet(f"no field of order {q}")
     if q > MAX_FIELD_ORDER:
         raise TooLarge(f"field order {q} exceeds {MAX_FIELD_ORDER}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise UnsupportedAlphabet(f"{q} is not a prime power")
-            return build_field(p, m)
-        p += 1
-    return build_field(q, 1)
+    parts = _prime_power_parts(q)
+    if len(parts) > 1:
+        raise UnsupportedAlphabet(f"{q} is not a prime power")
+    return build_field(*parts[0])
 
 
 def subfield_order(field: FieldTable) -> int:
@@ -489,9 +466,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, x: int) -> int:
-        return _poly_eval_big(self.field, self.coeffs, x)
 
 
 def poly_from_roots(big: FieldTable, roots, target: SubfieldEmbedding) -> Polynomial:

@@ -101,6 +101,12 @@ def rref(field, rows):
 def null_space(field, rows, ncols: int):
     """Basis of the right kernel {v : rows @ v = 0}, vectors of length ncols."""
     red, pivots = rref(field, rows)
+    return rref_null_space(field, red, pivots, ncols)
+
+
+def rref_null_space(field, red, pivots, ncols: int):
+    """null_space of rows already in reduced row echelon form, whose
+    pivot columns are given: one basis vector per free column."""
     in_pivots = set(pivots)
     basis = []
     for fcol in range(ncols):
@@ -356,17 +362,19 @@ def probe_support(field, parity_np, support, need_full, reject, seed, tag):
     return hit, False
 
 
-def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None,
-               dense_cap: int = DENSE_SUPPORT_CAP, seed_tag: int = 0):
+def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
     """Scan all size-w supports, in lexicographic order, for a passing word.
 
-    When w <= r (parity rows) a batched rank prefilter discards supports
-    whose parity columns are independent; otherwise every support gets a
-    direct kernel probe, capped at dense_cap probes.  Witnesses come back
-    full length.
+    The supports go in chunks of RANK_CHUNK.  When w <= r (parity rows) a
+    batched rank prefilter drops the supports whose parity columns are
+    independent; above r every support is probed, and the level stops
+    unfinished once DENSE_SUPPORT_CAP probes are spent.  The probe of the
+    i-th support samples with tag (w << 32) | i.  Witnesses come back full
+    length.
     """
     r = len(parity_rows)
     parity_np = np_matrix(field, parity_rows, n)
+    cap = DENSE_SUPPORT_CAP if w > r else math.inf
     combos = itertools.combinations(range(n), w)
     scanned = 0
     exhaustive = True
@@ -382,11 +390,8 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None,
             return None
         return lambda vec: reject(fill(vec, support))
 
-    if w <= r:
-        while True:
-            chunk = list(itertools.islice(combos, RANK_CHUNK))
-            if not chunk:
-                return ScanOutcome(None, scanned, True, exhaustive)
+    while chunk := list(itertools.islice(combos, RANK_CHUNK)):
+        if w <= r:
             idx = np.fromiter(
                 itertools.chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * w
             ).reshape(-1, w)
@@ -395,28 +400,22 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None,
             for j in range(w):
                 np.take(parity_np, idx[:, j], axis=1, out=stack[j])
             ranks = batch_rank(field, stack.transpose(2, 1, 0))
-            for h in np.nonzero(ranks < w)[0]:
-                support = chunk[int(h)]
-                counter = scanned + int(h)
-                vec, exact = probe_support(
-                    field, parity_np, support, need_full, local_reject(support),
-                    seed, (seed_tag << 32) | counter,
-                )
-                if vec is not None:
-                    return ScanOutcome(fill(vec, support), counter + 1, False, False)
-                exhaustive = exhaustive and exact
-            scanned += len(chunk)
-    for support in combos:
-        if scanned >= dense_cap:
-            return ScanOutcome(None, scanned, False, False)
-        vec, exact = probe_support(
-            field, parity_np, support, need_full, local_reject(support),
-            seed, (seed_tag << 32) | scanned,
-        )
-        if vec is not None:
-            return ScanOutcome(fill(vec, support), scanned + 1, False, False)
-        exhaustive = exhaustive and exact
-        scanned += 1
+            hits = np.nonzero(ranks < w)[0].tolist()
+        else:
+            hits = range(len(chunk))
+        for h in hits:
+            counter = scanned + h
+            if counter >= cap:
+                return ScanOutcome(None, counter, False, False)
+            support = chunk[h]
+            vec, exact = probe_support(
+                field, parity_np, support, need_full, local_reject(support),
+                seed, (w << 32) | counter,
+            )
+            if vec is not None:
+                return ScanOutcome(fill(vec, support), counter + 1, False, False)
+            exhaustive = exhaustive and exact
+        scanned += len(chunk)
     return ScanOutcome(None, scanned, True, exhaustive)
 
 

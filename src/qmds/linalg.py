@@ -46,7 +46,8 @@ class LinearCode:
     @cached_property
     def parity_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
-            tuple(v) for v in kernels.null_space(self.field, self.gen, self.n)
+            tuple(v)
+            for v in kernels.rref_null_space(self.field, self.gen, self.pivots, self.n)
         )
 
     def __repr__(self):
@@ -321,7 +322,6 @@ class WordSearch:
         out = kernels.scan_level(
             code.field, code.parity_rows, code.n, w, budget.seed,
             need_full=need_full, reject=self.sub.contains if self.sub else None,
-            seed_tag=w,
         )
         if out.witness is not None:
             self.record(out.witness)

@@ -132,9 +132,11 @@ def weight_present(pc: PunctureCode, w: int,
                    budget: SearchBudget = DEFAULT_BUDGET) -> PresenceResult:
     """Decide whether the puncture code has a word of weight exactly w.
 
-    Exhaustive enumeration when the code is small, then a support scan at
-    level w, then the shared sampling pass.  Verdicts are cached on the
-    PunctureCode, so asking again (or asking after a bulk pass) is free.
+    Routes in one fixed order: the verdicts cached on the PunctureCode,
+    exhaustive enumeration when the code is small, the sampling pass that
+    every weight shares (it runs once per budget), and a support scan at
+    level w only when sampling did not find the weight.  The answer is the
+    same whether w is asked alone or inside weight_spectrum.
     """
     base = pc.base
     if not (1 <= w <= base.n):
@@ -147,12 +149,11 @@ def weight_present(pc: PunctureCode, w: int,
         pc.enumerate()
         effort = {"enumerated": True}
     else:
-        effort = {}
-        out = pc.scan(w, budget, need_full=True)
-        if out is not None:
-            effort["supports_scanned"] = out.supports_scanned
-        if w not in pc.found and w not in pc.absent:
-            pc.sample(budget, tag=0x77)
+        pc.sample(budget, tag=0x77)
+        out = None if w in pc.found else pc.scan(w, budget, need_full=True)
+        effort = {} if out is None else {"supports_scanned": out.supports_scanned}
+        # credited to sampling when it found w or w stays undecided
+        if out is None or not (w in pc.found or w in pc.absent):
             effort["samples"] = budget.samples
             effort["seed"] = budget.seed
     if w in pc.found:
@@ -163,19 +164,13 @@ def weight_present(pc: PunctureCode, w: int,
 
 def weight_spectrum(pc: PunctureCode, weights=None,
                     budget: SearchBudget = DEFAULT_BUDGET) -> list[PresenceResult]:
-    """Presence verdicts for a run of weights, sharing work across them.
-
-    When exhaustive enumeration is out of reach the sampling pass runs first
-    so that scans only fire for the weights sampling cannot see.
-    """
+    """weight_present for a run of weights (default 1..n), ascending."""
     base = pc.base
     if weights is None:
         weights = range(1, base.n + 1)
     weights = sorted(set(weights))
     if any(not (1 <= w <= base.n) for w in weights):
         raise BadWeight(f"weights outside 1..{base.n}")
-    if base.k and pc.enum_cost > budget.enum:
-        pc.sample(budget, tag=0x77)
     return [weight_present(pc, w, budget) for w in weights]
 
 

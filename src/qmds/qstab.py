@@ -26,7 +26,15 @@ from .errors import (
     NotSelfOrthogonal,
     UnsupportedAlphabet,
 )
-from .gf import build_field, field_for_order, subfield_order
+from .gf import (
+    _prime_power_parts,
+    build_field,
+    conjugate,
+    embed,
+    field_for_order,
+    norm,
+    subfield_order,
+)
 from .linalg import (
     LinearCode,
     WordSearch,
@@ -35,7 +43,6 @@ from .linalg import (
     is_subcode,
     linear_code,
     min_weight,
-    min_weight_relative,
     shorten,
 )
 from .pcode import (
@@ -119,17 +126,15 @@ def stabilizer_from_self_orthogonal(
     dstar_floor = d_floor if mw is None else max(mw.floor, d_floor)
     if dstar_floor > cap:
         raise Contradiction(f"floor {dstar_floor} on d(D*) exceeds the Singleton cap")
+    # words of D* outside D; D is a proper subcode, since kq > 0
+    search = WordSearch(dstar, d_code)
     if prefer_relative is None:
-        prefer_relative = WordSearch(dstar, d_code).enum_cost <= budget.enum
-    rel = None
-    if prefer_relative:
-        rel = min_weight_relative(dstar, d_code, budget)
+        prefer_relative = search.enum_cost <= budget.enum
+    rel = search.lowest(budget, 0x32) if prefer_relative or dstar_floor < cap else None
     if (rel is None or not rel.exact) and dstar_floor == cap:
         return QuantumCodeParams(
             q0, n, kq, cap, "yes", True, prov + ("singleton-squeeze",)
         )
-    if rel is None:
-        rel = min_weight_relative(dstar, d_code, budget)
     if rel.exact:
         if rel.value > cap:
             raise Contradiction(f"relative minimum {rel.value} exceeds the cap {cap}")
@@ -179,23 +184,6 @@ def puncture_stabilizer(
     if params.d <= 1:
         raise DistanceOne("stabilizer distance 1 cannot be punctured")
     return shorten(d_code, [position])
-
-
-def _prime_power_parts(q: int) -> list[tuple[int, int]]:
-    parts = []
-    t = q
-    p = 2
-    while p * p <= t:
-        if t % p == 0:
-            a = 0
-            while t % p == 0:
-                t //= p
-                a += 1
-            parts.append((p, a))
-        p += 1
-    if t > 1:
-        parts.append((t, 1))
-    return parts
 
 
 def _zero_sum_full_word(f, n: int) -> tuple[int, ...]:
@@ -329,20 +317,19 @@ def family_q2plus1(
     return FamilyScan(q, d, spec, pc, presence, records, witnesses, guaranteed)
 
 
-def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
-    """[[q**2+2, q**2-4, 4]]_q for q = 2**m, via the norm-triple construction.
+def norm_triple_code(m: int):
+    """The length-q**2+2 code C over GF(q**2), q = 2**m, of the norm-triple
+    construction, with its P(C).
 
-    Returns (params, witness, D, P).  The witness has full weight q**2 + 2;
-    its coordinates evaluate an irreducible quadratic at subfield points, so
-    none vanish.
+    Returns (H, C, P).  Parity row e of H holds alpha**(e*j) at the q**2 - 1
+    positions j, then a 1 in tail coordinate e.  C, spanned by the conjugated
+    rows, is checked to be the Hermitian dual of the code H defines; P is
+    P(C) by the direct route.
     """
     if not (1 <= m <= 4):
         raise UnsupportedAlphabet(f"alphabet 2**m needs 1 <= m <= 4, got {m}")
-    from .gf import conjugate, embed, norm  # local alias for clarity
-
-    small = build_field(2, m)
     big = build_field(2, 2 * m)
-    q = small.q
+    q = 2**m
     n = q * q + 2
     alpha = big.generator
     hrows = []
@@ -357,7 +344,21 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
     cstar = code_from_parity(big, hrows, n)
     if dual(cstar, "hermitian") != c_code:
         raise Contradiction("norm-triple code is not the Hermitian dual of its dual")
-    pc = puncture_direct(c_code)
+    return hrows, c_code, puncture_direct(c_code)
+
+
+def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
+    """[[q**2+2, q**2-4, 4]]_q for q = 2**m, via the norm-triple construction.
+
+    Returns (params, witness, D, P).  The witness has full weight q**2 + 2;
+    its coordinates evaluate an irreducible quadratic at subfield points, so
+    none vanish.
+    """
+    hrows, c_code, pc = norm_triple_code(m)
+    small = build_field(2, m)
+    big = c_code.field
+    q = small.q
+    n = c_code.n
     emb = embed(small, big)
     norm_profiles = []
     for row in hrows:
@@ -538,14 +539,9 @@ class Registry:
         return (q, n, k, d)
 
 
-_PIPELINE_CACHE: dict = {}
-
-
 def run_pipeline(q: int, d: int, budget: SearchBudget = DEFAULT_BUDGET) -> FamilyScan:
-    key = (q, d, budget)
-    if key not in _PIPELINE_CACHE:
-        _PIPELINE_CACHE[key] = family_q2plus1(q, d, budget)
-    return _PIPELINE_CACHE[key]
+    """The pipeline sweep for one (q, d): family_q2plus1 over every weight."""
+    return family_q2plus1(q, d, budget)
 
 
 _STATUS_RANK = {"verified": 4, "claimed": 3, "literature": 2, "absent": 1, "unknown": 0}

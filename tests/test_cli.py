@@ -117,6 +117,34 @@ def test_qmds_verify_round_trip(capsys, tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_q2p2_witness_round_trip(capsys, tmp_path, m):
+    status, payload = run_json(capsys, "q2p2", str(m))
+    assert status == 0
+    witness = payload["witness"]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(witness))
+    status, check = run_json(capsys, "verify", str(path))
+    assert status == 0 and check["ok"] is True
+    assert all(check["checks"].values())
+    # the record q2p2 printed, settled the same way, under the witness-file tags
+    q, n = 2**m, 4**m + 2
+    record = check["record"]
+    assert (record["q"], record["n"], record["k"], record["d"], record["d_exact"]) == (
+        q, n, n - 6, 4, True)
+    built = payload["record"]
+    assert record["provenance"] == (
+        ["norm-triple-family", "witness-file", f"w={n}"] + built["provenance"][3:])
+    assert dict(record, provenance=None) == dict(built, provenance=None)
+
+    # another nonzero value where the alphabet has one, else a zero
+    tampered = dict(witness, values=list(witness["values"]))
+    tampered["values"][0] = tampered["values"][0] % (q - 1) + 1 if q > 2 else 0
+    path.write_text(json.dumps(tampered))
+    status, check = run_json(capsys, "verify", str(path))
+    assert status == 1 and check["ok"] is False
+
+
 def test_q2p2_and_output_mirror(capsys, tmp_path):
     target = tmp_path / "out.json"
     status, out, err = run(capsys, "--output", str(target), "q2p2", "1")
@@ -248,7 +276,6 @@ def test_contradiction_exits_one(capsys, monkeypatch):
 def test_broken_invariant_exits_one(capsys, monkeypatch):
     import qmds.qstab
 
-    monkeypatch.setattr(qmds.qstab, "_PIPELINE_CACHE", {})
     monkeypatch.setattr(qmds.qstab, "bch_ht_bound", lambda spec: 1)
     status, out, err = run(capsys, "qmds", "3", "3")
     assert status == 1

@@ -15,7 +15,10 @@ commit 23533b4, before gf_matmul multiplied in float32, batch_rank
 narrowed its stacks and rref ran on numpy: `qmds 5 4` and
 `--budget-enum 2500000 qmds 5 5` are the scans, probes, sampling and
 enumeration over GF(5), the `pc` cases RREF-heavy builds over GF(64) and
-GF(7).
+GF(7).  The last two were recorded at commit ba99247, before weight_present
+took the shared sampling pass ahead of its level scan: `weights 4 3` at
+enum 10 and 1000 samples samples first, then scans levels on both sides of
+r, and `qmds 3 3` at enum 1 and no samples decides every level by scan.
 """
 
 import hashlib
@@ -73,6 +76,11 @@ GOLDEN = [
      "205a587e74153203d317e5dd76c76081859fe1e27aa569058f980fd9faaa3bec", 0),
     (("pc", "7", "4", "--route", "both"),
      "5c122b82b51e06b09734bb73c3dbd28128459ec0be6c99f7e66f9bdb6265606b", 0),
+    # the presence route order: sampling pass, then scans
+    (("--budget-enum", "10", "--budget-samples", "1000", "weights", "4", "3"),
+     "5e07531abe6fa67bab7dfe08541c067b668c9f9f92a703bdfa2c8f2b5165f863", 0),
+    (("--budget-enum", "1", "--budget-samples", "0", "qmds", "3", "3"),
+     "4f111e7b8e03297a2c65b52611dbb76c1de32228e5a5254bea1cf4e4cdd99d6c", 0),
 ]
 
 

@@ -488,14 +488,38 @@ def test_scan_level_reject_hook():
     assert keep.witness == base.witness
 
 
-def test_scan_level_dense_cap():
+@pytest.mark.parametrize("f", [F3, F4])
+def test_scan_level_decides_every_level(f):
+    # n = 7 and r = 5, 4, 2: levels on both sides of r, prefiltered and dense
+    rng = random.Random(70 + f.q)
+    for k in (2, 3, 5):
+        code = linear_code(f, rand_mat(rng, f, k, 7), 7)
+        counts = oracles.brute_spectrum(code)
+        for w in range(1, 8):
+            out = scan_level(f, code.parity_rows, 7, w, 3, need_full=True)
+            assert (out.witness is not None) == (counts[w] > 0), (code.k, w)
+            if out.witness is None:
+                assert out.completed and out.exhaustive
+            else:
+                assert sum(1 for x in out.witness if x) == w
+                assert oracles.is_member(code, out.witness)
+
+
+def test_scan_level_dense_cap(monkeypatch):
+    # [6, 2] over GF(3), r = 4: six supports at w = 5, fifteen at w = 4
     code = linear_code(F3, [[1, 0, 1, 2, 0, 1], [0, 1, 1, 1, 2, 0]], 6)
-    out = scan_level(
-        F3, code.parity_rows, 6, 5, 0, need_full=True, dense_cap=2
-    )
-    if out.witness is None:
-        assert not out.completed
-        assert out.supports_scanned == 2
+    monkeypatch.setattr(kernels, "DENSE_SUPPORT_CAP", 2)
+    none = dict(need_full=True, reject=lambda v: True)
+    out = scan_level(F3, code.parity_rows, 6, 5, 0, **none)
+    assert out.witness is None and out.supports_scanned == 2
+    assert not out.completed and not out.exhaustive
+    # the cap binds only above r
+    out = scan_level(F3, code.parity_rows, 6, 4, 0, **none)
+    assert out.completed and out.supports_scanned == 15
+    # a level of exactly cap supports still completes
+    monkeypatch.setattr(kernels, "DENSE_SUPPORT_CAP", 6)
+    out = scan_level(F3, code.parity_rows, 6, 5, 0, **none)
+    assert out.completed and out.exhaustive and out.supports_scanned == 6
 
 
 def test_probe_support_paths():

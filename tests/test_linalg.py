@@ -13,7 +13,8 @@ from qmds.errors import (
     QmdsError,
     ZeroDimensional,
 )
-from qmds.gf import build_field
+from qmds.gf import build_field, field_for_order
+from qmds.kernels import null_space
 from qmds.linalg import (
     WordSearch,
     code_from_parity,
@@ -127,6 +128,17 @@ def test_hermitian_dual(q):
                 assert hermitian_inner(f, u, v) == 0
     with pytest.raises(QmdsError, match="unknown dual kind"):
         dual(c, "symplectic")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_parity_rows_equal_null_space_of_generator(q):
+    f = field_for_order(q)
+    rng = random.Random(30 + q)
+    for n in (1, 4, 7):
+        for k in range(n + 1):  # k = 0 and k = n included
+            code = random_code(f, n, k, rng)
+            want = tuple(tuple(v) for v in null_space(f, code.gen, n))
+            assert code.parity_rows == want, (n, k)
 
 
 def test_code_from_parity_matches_dual():

@@ -169,6 +169,18 @@ def test_raising_a_budget_keeps_every_decided_verdict():
                     assert b.verdict == a.verdict, (q, d, budget, a.weight)
 
 
+@pytest.mark.parametrize("q,d,samples", [(4, 3, 1000), (3, 3, 20)])
+def test_presence_alone_matches_spectrum(q, d, samples):
+    # the sampling pass finds some weights, scans decide the rest
+    budget = SearchBudget(enum=10, support=10**9, samples=samples, seed=7)
+    spec = mds_spec(q * q, d)
+    together = weight_spectrum(puncture_spectral(spec), None, budget)
+    assert {"cache", "supports_scanned"} <= {k for r in together for k in r.effort}
+    for res in together:
+        alone = weight_present(puncture_spectral(spec), res.weight, budget)
+        assert (alone.verdict, alone.witness) == (res.verdict, res.witness), res.weight
+
+
 def test_zero_code_has_no_weights():
     f4 = build_field(2, 2)
     full = linear_code(f4, [[1, 0], [0, 1]], 2)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from qmds.budgets import SearchBudget
 from qmds.errors import (
     BadCoordinate,
     BadDistance,
@@ -236,14 +235,6 @@ def test_registry_literature_filter():
     qs = {r.q for r in reg.records()}
     assert qs == {5}
     assert reg.get((5, 10, 0, 6)) is not None
-
-
-def test_run_pipeline_cache():
-    a = run_pipeline(2, 2)
-    b = run_pipeline(2, 2)
-    assert a is b
-    c = run_pipeline(2, 2, SearchBudget(enum=10**5, support=10**9, samples=10**5, seed=1))
-    assert c is not a
 
 
 def test_figdata_grid_small():
