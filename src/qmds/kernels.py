@@ -5,6 +5,10 @@ Everything here stays exact.  The numpy paths take and return uint8 field
 elements.  Over a prime field GF(p) they compute with integers reduced mod p;
 over other fields they go through per-field lookup tables.  Either way they
 are just a faster way to run the same integer computation.
+
+The MDS check and the support scans share one walk, dependent_supports, over
+the prefix tree of column subsets.  batch_rank does not choose the supports
+a scan probes: it cross-checks the ones the tree yields.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from .budgets import (
     ENUM_CHUNK,
     RANK_CHUNK,
     SAMPLE_CHUNK,
+    SCAN_CHUNK,
     SUBSCAN_EXACT_CAP,
     SUBSCAN_SAMPLES,
 )
+from .errors import Contradiction
 from .gf import MAX_TABLE_ORDER
 
 
@@ -132,7 +138,8 @@ def _elimination_prime(field) -> int:
 
 
 def batch_rank(field, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, r, w) stack of matrices by lockstep elimination.
+    """Ranks of a (B, r, w) stack of matrices by lockstep elimination: the
+    exact cross-check of the supports a scan's prefix tree yields.
 
     Each step takes the first remaining column.  A matrix whose column is
     nonzero gains a pivot, its last nonzero row, and the column is cleared
@@ -173,7 +180,7 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
 def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> np.ndarray:
     """For each pair (node, col): the node's matrix after the rank-1 update
     that clears column col, without the pivot row (the first nonzero entry
-    of that column, which must exist)."""
+    of that column), or zero where that column is zero."""
     t = field.np_tables()
     p = _elimination_prime(field)
     colv = pm[node, :, col]
@@ -187,53 +194,78 @@ def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> n
         upd = (p - 1) * fac * pm[node, piv, :][:, None, :]
         upd += pm[node[:, None], keep, :]
         upd %= p
-        return upd
-    fac = t.mul[colv[ar[:, None], keep], inv][:, :, None]
-    upd = t.mul[fac, pm[node, piv, :][:, None, :]]
-    return t.sub[pm[node[:, None], keep, :], upd]
+    else:
+        fac = t.mul[colv[ar[:, None], keep], inv][:, :, None]
+        upd = t.mul[fac, pm[node, piv, :][:, None, :]]
+        upd = t.sub[pm[node[:, None], keep, :], upd]
+    # a zero column has table inverse 0 and a dependent child
+    upd[inv[:, 0] == 0] = 0
+    return upd
 
 
-def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
-    """True when every `size` columns of the (r, n) matrix are independent,
-    for 1 <= size <= r.
+def dependent_supports(field, mat: np.ndarray, size: int, chunk: int):
+    """Yield every dependent `size`-column subset of the (r, n) matrix, for
+    1 <= size <= r, in lexicographic order: (m, size) arrays of sorted
+    column indices, one per chunk of leaves that holds any.
 
     The column subsets form a lexicographic prefix tree, walked depth first
     and vectorised over the nodes of one level.  A node with j prefix
     columns holds P = A @ mat, where the r - j rows of A span the left
     kernel of those columns, so a further column c depends on the prefix
     exactly when P[:, c] is zero.  A child keeps P after one rank-1 update
-    that clears its column, minus the pivot row.  Children are built in
-    chunks of at most RANK_CHUNK (or the children of one node, if more),
-    which bounds memory, and the walk stops at the first dependent column
-    that still leaves room for a whole subset.
+    that clears its column, minus the pivot row.  A dependent child gets
+    P = 0 instead, so every completion of it is dependent in turn.  Children
+    are built in chunks of at most `chunk` (or the children of one node, if
+    more), which bounds memory; the walk advances only as far as its
+    consumer reads.
     """
     n = mat.shape[1]
     cols = np.arange(n)
 
-    def walk(j, pm, last):
+    def walk(j, pm, prefix):
         # child columns: after the last prefix column, and early enough to
         # leave room for the size - j - 1 columns still to come
+        last = prefix[:, j - 1] if j else np.full(1, -1)
         kids = cols > last[:, None]
         kids &= cols <= n - size + j
         dead = pm.any(axis=1)
         np.logical_not(dead, out=dead)  # in place: the leaf level is the widest
         dead &= kids
-        if dead.any():
-            return False
         if j == size - 1:
-            return True
+            if dead.any():
+                node, col = np.nonzero(dead)
+                yield np.column_stack((prefix[node], col))
+            return
         fan = np.cumsum(kids.sum(axis=1))
         start = 0
         while start < len(fan):
             base = fan[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(fan, base + RANK_CHUNK, side="right")))
+            stop = max(start + 1, int(np.searchsorted(fan, base + chunk, side="right")))
             node, col = np.nonzero(kids[start:stop])
-            if len(node) and not walk(j + 1, _clear_column(field, pm, node + start, col), col):
-                return False
+            node += start
+            if len(node):
+                kid_prefix = np.column_stack((prefix[node], col.astype(prefix.dtype)))
+                yield from walk(j + 1, _clear_column(field, pm, node, col), kid_prefix)
             start = stop
-        return True
 
-    return walk(0, mat[None], np.full(1, -1))
+    yield from walk(0, mat[None], np.zeros((1, 0), dtype=np.min_scalar_type(n)))
+
+
+def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
+    """True when every `size` columns of the (r, n) matrix are independent,
+    for 1 <= size <= r: when dependent_supports yields nothing."""
+    return next(dependent_supports(field, mat, size, RANK_CHUNK), None) is None
+
+
+def lex_rank(n: int, support) -> int:
+    """Index of a sorted support in itertools.combinations(range(n), w)
+    order, w = len(support).  Mirroring each column c to n - 1 - c reverses
+    that order into colexicographic order, where a subset's index is its
+    combinadic, the sum of C(n - 1 - c, w - i) over its i-th column c."""
+    w = len(support)
+    return math.comb(n, w) - 1 - sum(
+        math.comb(n - 1 - c, w - i) for i, c in enumerate(support)
+    )
 
 
 def projective_count(q: int, k: int) -> int:
@@ -365,19 +397,34 @@ def probe_support(field, parity_np, support, need_full, reject, seed, tag):
 def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
     """Scan all size-w supports, in lexicographic order, for a passing word.
 
-    The supports go in chunks of RANK_CHUNK.  When w <= r (parity rows) a
-    batched rank prefilter drops the supports whose parity columns are
-    independent; above r every support is probed, and the level stops
-    unfinished once DENSE_SUPPORT_CAP probes are spent.  The probe of the
-    i-th support samples with tag (w << 32) | i.  Witnesses come back full
-    length.
+    When w <= r (parity rows) only a support whose parity columns are
+    dependent carries a word, and dependent_supports finds exactly those on
+    its prefix tree.  batch_rank cross-checks them, one call per RANK_CHUNK
+    of them, and a support of full rank raises Contradiction.  Above r every
+    support is probed, and the level stops unfinished once
+    DENSE_SUPPORT_CAP probes are spent.  The probe of the support with
+    lexicographic index i samples with tag (w << 32) | i.  Witnesses come
+    back full length.
     """
     r = len(parity_rows)
     parity_np = np_matrix(field, parity_rows, n)
-    cap = DENSE_SUPPORT_CAP if w > r else math.inf
-    combos = itertools.combinations(range(n), w)
-    scanned = 0
-    exhaustive = True
+
+    def dependent():
+        for found in dependent_supports(field, parity_np, w, SCAN_CHUNK):
+            for lo in range(0, len(found), RANK_CHUNK):
+                part = found[lo:lo + RANK_CHUNK]
+                ranks = batch_rank(field, parity_np[:, part].transpose(1, 0, 2))
+                indep = np.flatnonzero(ranks == w)
+                if len(indep):
+                    bad = part[indep[0]].tolist()
+                    raise Contradiction(f"support {bad} has independent parity columns")
+                for support in part.tolist():
+                    yield lex_rank(n, support), support
+
+    if w <= r:
+        cap, supports = math.inf, dependent()
+    else:
+        cap, supports = DENSE_SUPPORT_CAP, enumerate(itertools.combinations(range(n), w))
 
     def fill(vec, support):
         full = [0] * n
@@ -390,33 +437,18 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
             return None
         return lambda vec: reject(fill(vec, support))
 
-    while chunk := list(itertools.islice(combos, RANK_CHUNK)):
-        if w <= r:
-            idx = np.fromiter(
-                itertools.chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * w
-            ).reshape(-1, w)
-            # one copy, in batch_rank's (w, r, B) layout, passed as a (B, r, w) view
-            stack = np.empty((w, r, len(chunk)), dtype=np.uint8)
-            for j in range(w):
-                np.take(parity_np, idx[:, j], axis=1, out=stack[j])
-            ranks = batch_rank(field, stack.transpose(2, 1, 0))
-            hits = np.nonzero(ranks < w)[0].tolist()
-        else:
-            hits = range(len(chunk))
-        for h in hits:
-            counter = scanned + h
-            if counter >= cap:
-                return ScanOutcome(None, counter, False, False)
-            support = chunk[h]
-            vec, exact = probe_support(
-                field, parity_np, support, need_full, local_reject(support),
-                seed, (w << 32) | counter,
-            )
-            if vec is not None:
-                return ScanOutcome(fill(vec, support), counter + 1, False, False)
-            exhaustive = exhaustive and exact
-        scanned += len(chunk)
-    return ScanOutcome(None, scanned, True, exhaustive)
+    exhaustive = True
+    for counter, support in supports:
+        if counter >= cap:
+            return ScanOutcome(None, counter, False, False)
+        vec, exact = probe_support(
+            field, parity_np, support, need_full, local_reject(support),
+            seed, (w << 32) | counter,
+        )
+        if vec is not None:
+            return ScanOutcome(fill(vec, support), counter + 1, False, False)
+        exhaustive = exhaustive and exact
+    return ScanOutcome(None, math.comb(n, w), True, exhaustive)
 
 
 def level_gate(n: int, w: int, k: int, budget_support: int) -> bool:

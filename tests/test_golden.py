@@ -19,6 +19,12 @@ GF(7).  The last two were recorded at commit ba99247, before weight_present
 took the shared sampling pass ahead of its level scan: `weights 4 3` at
 enum 10 and 1000 samples samples first, then scans levels on both sides of
 r, and `qmds 3 3` at enum 1 and no samples decides every level by scan.
+The last two were recorded at commit e2d9530, before support scans found
+their dependent supports on a prefix tree instead of ranking every
+support: `weights 8 3` scans over GF(8) by table gathers, proving weights
+1-3 absent by complete scans and finding 4-6 mid-level, and `weights 7 4`
+scans over GF(7) by mod-p elimination, five complete levels that prove
+1-5 absent.
 """
 
 import hashlib
@@ -81,6 +87,13 @@ GOLDEN = [
      "5e07531abe6fa67bab7dfe08541c067b668c9f9f92a703bdfa2c8f2b5165f863", 0),
     (("--budget-enum", "1", "--budget-samples", "0", "qmds", "3", "3"),
      "4f111e7b8e03297a2c65b52611dbb76c1de32228e5a5254bea1cf4e4cdd99d6c", 0),
+    # support scans on the prefix tree, table and mod-p fields
+    (("--budget-enum", "1", "--budget-samples", "0", "weights", "8", "3",
+      "--range", "1..6"),
+     "74698f40b4eac290527d167d6ce098544ff22a6456a23d51244a9b8526c095d0", 0),
+    (("--budget-enum", "1", "--budget-samples", "0", "weights", "7", "4",
+      "--range", "1..9"),
+     "9c9c4a63adc72e3eeba8db21412260a7541ecccf69ab18d68b0d8e5d0a407604", 3),
 ]
 
 

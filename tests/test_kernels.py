@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from qmds import kernels
-from qmds.budgets import SAMPLE_CHUNK, SUBSCAN_EXACT_CAP
+from qmds.budgets import SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP
+from qmds.errors import Contradiction
 from qmds.gf import build_field
 from qmds.kernels import (
     _elimination_prime,
     _reduce_float32,
     batch_rank,
+    dependent_supports,
     gf_matmul,
     independent_subsets,
     iter_projective_words,
     iter_sampled_words,
     level_gate,
+    lex_rank,
     np_matrix,
     null_space,
     philox,
@@ -305,6 +308,50 @@ def test_independent_subsets_across_chunk_boundaries(monkeypatch, chunk):
             assert independent_subsets(f, mat, size) is not dependent_subsets(f, mat, size)
 
 
+def tree_supports(f, mat, size, chunk):
+    """Every support dependent_supports yields, as tuples in yield order."""
+    out = []
+    for found in dependent_supports(f, mat, size, chunk):
+        assert found.ndim == 2 and found.shape[1] == size and len(found)
+        out += [tuple(s) for s in found.tolist()]
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 5, SCAN_CHUNK])
+@pytest.mark.parametrize("f", KERNEL_FIELDS, ids=lambda f: f"GF{f.q}")
+def test_dependent_supports_match_batch_rank(f, chunk):
+    rng = random.Random(110 + f.q + chunk)
+    r, n = 4, 7
+    for size in range(1, r + 1):
+        cases = []
+        for _ in range(6):
+            mat = np.array(rand_mat(rng, f, r, n), dtype=np.uint8)
+            zero = mat.copy()
+            zero[:, rng.randrange(n)] = 0
+            twin = mat.copy()
+            a, b = rng.sample(range(n), 2)
+            twin[:, b] = twin[:, a]
+            cases += [(mat, size), (zero, size), (twin, size)]
+        if f.q > 2:
+            m = min(f.q, n)
+            small = min(size, m - 1)
+            cases.append((planted_last(f, rng, min(r, m - 1), m, small), small))
+        for mat, sz in cases:
+            want = dependent_subsets(f, mat, sz)
+            assert tree_supports(f, mat, sz, chunk) == want
+            if want:
+                # the lexicographically first dependent support comes first
+                first = next(dependent_supports(f, mat, sz, chunk))
+                assert tuple(first[0].tolist()) == want[0]
+
+
+def test_lex_rank_is_the_combinations_index():
+    for n in range(10):
+        for w in range(n + 1):
+            for i, support in enumerate(itertools.combinations(range(n), w)):
+                assert lex_rank(n, support) == i
+
+
 @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 3), (9, 2)])
 def test_projective_iteration_covers_every_class_once(q, k):
     f = build_field(2, 2) if q == 4 else build_field(3, 2) if q == 9 else build_field(q, 1)
@@ -503,6 +550,63 @@ def test_scan_level_decides_every_level(f):
             else:
                 assert sum(1 for x in out.witness if x) == w
                 assert oracles.is_member(code, out.witness)
+
+
+def scan_cases(f, rng):
+    """Codes of length 8 with r = 6, 4 and 3 parity rows, and one with a
+    zero and a repeated coordinate."""
+    for k in (2, 4, 5):
+        yield linear_code(f, rand_mat(rng, f, k, 8), 8)
+    gen = rand_mat(rng, f, 3, 8)
+    for row in gen:
+        row[2] = 0
+        row[6] = row[1]
+    yield linear_code(f, gen, 8)
+
+
+def reject_some(vec):
+    return vec[0] != 0
+
+
+@pytest.mark.parametrize("f", [F3, F4, F5, F7, F8], ids=lambda f: f"GF{f.q}")
+def test_scan_level_matches_reference_scan(f):
+    rng = random.Random(130 + f.q)
+    for code in scan_cases(f, rng):
+        for w in range(1, code.n + 1):
+            for need_full in (True, False):
+                for reject in (None, reject_some):
+                    args = (f, code.parity_rows, code.n, w, 11)
+                    kw = dict(need_full=need_full, reject=reject)
+                    want = oracles.scan_level(*args, **kw)
+                    assert scan_level(*args, **kw) == want, (code.k, w, need_full, reject)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_scan_level_across_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "RANK_CHUNK", chunk)
+    rng = random.Random(150 + chunk)
+    for f in (F4, F7):
+        for code in scan_cases(f, rng):
+            for w in range(1, len(code.parity_rows) + 1):
+                for reject in (None, reject_some):
+                    args = (f, code.parity_rows, code.n, w, 3)
+                    kw = dict(need_full=True, reject=reject)
+                    assert scan_level(*args, **kw) == oracles.scan_level(*args, **kw)
+
+
+def test_scan_level_cross_checks_what_the_tree_yields(monkeypatch):
+    code = linear_code(F5, [[1, 0, 1, 2, 3, 4], [0, 1, 1, 1, 2, 3]], 6)
+    parity = np_matrix(F5, code.parity_rows, 6)
+    indep = next(
+        s for s in itertools.combinations(range(6), 3)
+        if s not in dependent_subsets(F5, parity, 3)
+    )
+    monkeypatch.setattr(
+        kernels, "dependent_supports", lambda *args: iter([np.array([indep])])
+    )
+    with pytest.raises(Contradiction):
+        scan_level(F5, code.parity_rows, 6, 3, 0, need_full=False)
 
 
 def test_scan_level_dense_cap(monkeypatch):
