@@ -25,8 +25,11 @@ DENSE_SUPPORT_CAP = 50_000
 SUBSCAN_EXACT_CAP = 4096
 SUBSCAN_SAMPLES = 512
 
-# Fixed chunk sizes.  These are tuning constants only: results never depend
-# on them.
+# Fixed chunk sizes.  ENUM_CHUNK, RANK_CHUNK and SCAN_CHUNK are tuning
+# constants only: results never depend on them.  SAMPLE_CHUNK is not: the
+# sampler draws its Philox stream one chunk at a time, and one draw of 8192
+# messages yields other words than two draws of 4096, so SAMPLE_CHUNK fixes
+# which words every sampling pass sees.
 ENUM_CHUNK = 4096
 SAMPLE_CHUNK = 4096
 RANK_CHUNK = 16384

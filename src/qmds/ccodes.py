@@ -63,21 +63,24 @@ class ConstacyclicSpec:
         if Q**t > MAX_FIELD_ORDER:
             raise TowerTooLarge(f"root field GF({Q}**{t}) exceeds {MAX_FIELD_ORDER}")
         r1 = Q**t - 1
-        j0 = _generator_image_log(self.field, self.root_field)
         if self.beta_log is None:
-            object.__setattr__(
-                self, "beta_log", _canonical_beta_log(n, self.shift_log, r1, j0)
-            )
+            object.__setattr__(self, "beta_log", canonical_beta_log(self))
         object.__setattr__(self, "beta_log", self.beta_log % r1)
         # beta**n must equal the image of the shift constant in the root field
-        want = (self.shift_log * j0) % r1
-        if (self.beta_log * n) % r1 != want:
+        if (self.beta_log * n) % r1 != self.shift_root_log:
             raise DescentFailure("beta_log does not match the shift constant")
 
     @cached_property
     def root_field(self) -> FieldTable:
         t = _root_tower_degree(self.field.q, self.n)
         return build_field(self.field.p, self.field.m * t)
+
+    @property
+    def shift_root_log(self) -> int:
+        """Log of the shift constant in the root field, where the embedding
+        multiplies base-field logs by (|root| - 1) / (Q - 1)."""
+        r1 = self.root_field.q - 1
+        return (self.shift_log * (r1 // (self.field.q - 1))) % r1
 
     @property
     def k(self) -> int:
@@ -91,38 +94,15 @@ class ConstacyclicSpec:
         return tuple(self.root_log(i) for i in self.defining_set)
 
 
-def _generator_image_log(field: FieldTable, root: FieldTable) -> int:
-    """Log, in the root field, of the embedded image of the base generator."""
-    emb = embed(field, root)
-    return root.log_table[emb.image_of_generator]
-
-
-def _canonical_beta_log(n: int, shift_log: int, r1: int, j0: int) -> int:
-    c = (shift_log * j0) % r1
-    g = math.gcd(n, r1)
+def canonical_beta_log(spec: ConstacyclicSpec) -> int:
+    """The smallest-log n-th root of the shift constant in the root field."""
+    r1 = spec.root_field.q - 1
+    c = spec.shift_root_log
+    g = math.gcd(spec.n, r1)
     if c % g:
         raise DescentFailure("shift constant has no n-th root in the root field")
     mod = r1 // g
-    return ((c // g) * pow(n // g, -1, mod)) % mod
-
-
-def canonical_beta_log(spec: ConstacyclicSpec) -> int:
-    r1 = spec.root_field.q - 1
-    j0 = _generator_image_log(spec.field, spec.root_field)
-    return _canonical_beta_log(spec.n, spec.shift_log, r1, j0)
-
-
-def _norm_shift_log(fld: FieldTable) -> int:
-    """Exponent of the norm of the quadratic extension's primitive element.
-
-    For odd Q the symmetric defining set is only Galois stable when beta is
-    the primitive element of GF(Q**2) itself, so the shift constant must be
-    its norm.  Which power of the base generator that is depends on the
-    field tables, hence a computation rather than a constant.
-    """
-    root = build_field(fld.p, fld.m * 2)
-    eta = embed(fld, root).section(root.exp_table[(root.q - 1) // (fld.q - 1)])
-    return fld.log_table[eta]
+    return ((c // g) * pow(spec.n // g, -1, mod)) % mod
 
 
 def mds_spec(Q: int, d: int) -> ConstacyclicSpec:
@@ -150,7 +130,9 @@ def mds_spec(Q: int, d: int) -> ConstacyclicSpec:
     else:
         mu = (d - 1) // 2
         zset = range(1 - mu, mu + 1)
-        s = _norm_shift_log(fld)
+        # The shift constant is the norm G**(Q+1) of the generator G of
+        # GF(Q**2), and the embedding sends g to G**(Q+1): it is g itself.
+        s = 1
     spec = ConstacyclicSpec(fld, n, s, tuple(z % n for z in zset))
     zeros = len(spec.defining_set)
     if zeros != deficiency:

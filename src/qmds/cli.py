@@ -390,13 +390,8 @@ EXPECTED = {
         "d2": _all_found(2, 27),
         "pipeline": {
             3: _all_found(4, 26),
-            4: _rows(
-                (6, "found"),
-                (7, "absent"),
-                (range(8, 19), "found"),
-                (range(19, 27), "any"),
-            ),
-            5: _rows((range(8, 12), "any"), (range(12, 27), "found")),
+            4: _rows((6, "found"), (7, "absent"), (range(8, 27), "found")),
+            5: _rows((range(8, 12), "absent"), (range(12, 27), "found")),
             6: _rows((range(10, 26), "absent"), (26, "found")),
         },
         "char2": None,

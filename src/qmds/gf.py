@@ -7,8 +7,10 @@ integer arithmetic end to end.
 
 The defining modulus of GF(p**m) is the first monic degree-m polynomial, in
 ascending integer encoding, whose powers of x run through the whole
-multiplicative group.  That pins down one canonical table per order, and makes
-the element x (the int p) a generator whenever m > 1.
+multiplicative group and which is norm compatible with the subfield moduli.
+That pins down one canonical table per order, makes the element x (the int p)
+a generator whenever m > 1, and makes every subfield embedding a scaling of
+discrete logs.
 """
 
 from __future__ import annotations
@@ -154,10 +156,11 @@ def _norm_compatible(p: int, m: int, low: int) -> bool:
     """True when x**((p**m-1)/(p**d-1)) is a root of every maximal subfield
     modulus.
 
-    This pins the generator system down so that embeddings compose: the
-    image of any subfield generator is always a plain power of the big
-    generator, no matter which intermediate field the embedding routes
-    through.
+    With such moduli, the embedding of any subfield GF(p**d) sends its
+    generator to the big generator raised to (p**m-1)/(p**d-1), so every
+    embedding multiplies discrete logs by that ratio and embeddings compose
+    through any intermediate field.  The maximal subfields suffice: their
+    own moduli are norm compatible in turn.
     """
     lows = _digits(low, p, m)
     for d in _maximal_proper_divisors(m):
@@ -364,11 +367,11 @@ def norm_preimage(field: FieldTable, a: int) -> int:
 
 @dataclass(frozen=True)
 class SubfieldEmbedding:
-    """The canonical embedding of one field table into a larger one."""
+    """The canonical embedding of one field table into a larger one: it
+    multiplies discrete logs by ratio."""
 
     small: FieldTable
     big: FieldTable
-    image_of_generator: int
 
     @property
     def ratio(self) -> int:
@@ -377,8 +380,7 @@ class SubfieldEmbedding:
     def map(self, a: int) -> int:
         if a == 0:
             return 0
-        g_log = self.big.log_table[self.image_of_generator]
-        return self.big.exp_table[(g_log * self.small.log_table[a]) % (self.big.q - 1)]
+        return self.big.exp_table[self.ratio * self.small.log_table[a]]
 
     def contains(self, b: int) -> bool:
         return b == 0 or self.big.log_table[b] % self.ratio == 0
@@ -387,14 +389,10 @@ class SubfieldEmbedding:
         """Inverse of map; raises NotInSubfield off the image."""
         if b == 0:
             return 0
-        t = self.ratio
         lb = self.big.log_table[b]
-        if lb % t:
+        if lb % self.ratio:
             raise NotInSubfield(f"element {b} is outside the embedded subfield")
-        j0 = self.big.log_table[self.image_of_generator] // t
-        order = self.small.q - 1
-        i = ((lb // t) * pow(j0, -1, order)) % order if order > 1 else 0
-        return self.small.exp_table[i]
+        return self.small.exp_table[lb // self.ratio]
 
     def coords2(self, b: int) -> tuple[int, int]:
         """Split b = c0 + c1*theta over the subfield, theta the big generator.
@@ -416,36 +414,18 @@ class SubfieldEmbedding:
         return self.section(c0), self.section(c1)
 
 
-def _poly_eval_big(field: FieldTable, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 @functools.lru_cache(maxsize=None)
 def embed(small: FieldTable, big: FieldTable) -> SubfieldEmbedding:
     """Canonical embedding GF(p**a) -> GF(p**b) for a | b.
 
-    The small generator maps to the root of the small modulus that has the
-    smallest discrete log in the big field.
+    The small generator g maps to G**ratio, G the big generator and
+    ratio = (p**b - 1) / (p**a - 1): the moduli are norm compatible, so that
+    power is a root of the small modulus, the one with the smallest discrete
+    log.  The grid check below guards that invariant.
     """
     if small.p != big.p or big.m % small.m:
         raise NotASubfield(f"GF({small.q}) does not embed in GF({big.q})")
-    if small.q == big.q:
-        return SubfieldEmbedding(small, big, big.generator)
-    t = (big.q - 1) // (small.q - 1)
-    image = None
-    for j in range(small.q - 1):
-        cand = big.exp_table[(t * j) % (big.q - 1)]
-        if _poly_eval_big(big, small.modulus, cand) == 0:
-            image = cand
-            break
-    if image is None:
-        raise Contradiction(
-            f"no root of the GF({small.q}) modulus inside GF({big.q})"
-        )
-    emb = SubfieldEmbedding(small, big, image)
+    emb = SubfieldEmbedding(small, big)
     limit = small.q if small.q <= 81 else 16
     for a in range(limit):
         for b in range(limit):

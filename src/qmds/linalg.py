@@ -268,8 +268,8 @@ class WordSearch:
         self.found: dict[int, tuple] = {}
         self.absent: set[int] = set()
         self.exact_counts: list[int] | None = None
-        # (samples, seed) of the last full sampling pass; None before one
-        self.sampled: tuple[int, int] | None = None
+        # (samples, seed, tag) of the last full sampling pass; None before one
+        self.sampled: tuple[int, int, int] | None = None
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:
@@ -332,7 +332,7 @@ class WordSearch:
     def sample(self, budget: SearchBudget, tag: int, stop: int | None = None) -> None:
         """Record the first sampled word of each weight.  Stops after the
         chunk that finds weight stop; only a full pass counts as sampled."""
-        if self.sampled == (budget.samples, budget.seed):
+        if self.sampled == (budget.samples, budget.seed, tag):
             return
         for msgs, words in kernels.iter_sampled_words(
             self.code.field, self.rows, budget.samples, budget.seed, tag=tag
@@ -341,7 +341,7 @@ class WordSearch:
             self._record_found((words != 0).sum(axis=1), words)
             if stop in self.found:
                 return
-        self.sampled = (budget.samples, budget.seed)
+        self.sampled = (budget.samples, budget.seed, tag)
 
     def lowest(self, budget: SearchBudget, tag: int) -> WeightResult:
         """Lowest weight: enumerate when affordable, else scan levels upward

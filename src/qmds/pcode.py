@@ -101,12 +101,12 @@ def puncture_spectral(spec: ConstacyclicSpec) -> PunctureCode:
     zprime = sorted({(q * i + q * q * j) % n for i in spec.defining_set
                      for j in spec.defining_set})
     beta_log = (spec.beta_log * q * (q + 1)) % r1
-    # The new shift constant is the concrete value of beta'**n pulled back
-    # through the subfield embedding, not a formula in the old exponent.
+    # The new shift constant is beta'**n pulled back to GF(q): section
+    # divides its log by the embedding's ratio, and raises NotInSubfield
+    # when beta'**n lies outside GF(q).
     root = spec.root_field
     shift_root = root.exp_table[(beta_log * n) % r1]
-    shift_small = embed(small, root).section(shift_root)
-    s_small = small.log_table[shift_small] if shift_small != 1 else 0
+    s_small = small.log_table[embed(small, root).section(shift_root)]
     pspec = ConstacyclicSpec(small, n, s_small, tuple(zprime), beta_log=beta_log)
     if pspec.root_field.q != spec.root_field.q:
         raise NotQuadraticTower(

@@ -94,7 +94,7 @@ def stabilizer_from_self_orthogonal(
     budget: SearchBudget = DEFAULT_BUDGET,
     *,
     d_floor: int = 1,
-    prefer_relative: bool | None = None,
+    prefer_relative: bool = False,
     provenance: tuple[str, ...] = (),
 ) -> QuantumCodeParams:
     """Parameter record of the stabilizer code defined by a self-orthogonal D.
@@ -102,9 +102,9 @@ def stabilizer_from_self_orthogonal(
     d_floor may carry an external certified lower bound on the minimum
     weight of D* (for pipeline codes, the bound inherited from the parent
     MDS code).  The distance is settled, in order of preference, by an
-    exact relative search when that is affordable, by squeezing the bounds
-    against the quantum Singleton cap, or reported as a floor with
-    d_exact=False.
+    exact relative search when that is affordable or prefer_relative asks
+    for it, by squeezing the bounds against the quantum Singleton cap, or
+    reported as a floor with d_exact=False.
     """
     big = d_code.field
     q0 = subfield_order(big)
@@ -128,9 +128,8 @@ def stabilizer_from_self_orthogonal(
         raise Contradiction(f"floor {dstar_floor} on d(D*) exceeds the Singleton cap")
     # words of D* outside D; D is a proper subcode, since kq > 0
     search = WordSearch(dstar, d_code)
-    if prefer_relative is None:
-        prefer_relative = search.enum_cost <= budget.enum
-    rel = search.lowest(budget, 0x32) if prefer_relative or dstar_floor < cap else None
+    settle = prefer_relative or search.enum_cost <= budget.enum or dstar_floor < cap
+    rel = search.lowest(budget, 0x32) if settle else None
     if (rel is None or not rel.exact) and dstar_floor == cap:
         return QuantumCodeParams(
             q0, n, kq, cap, "yes", True, prov + ("singleton-squeeze",)
@@ -260,7 +259,7 @@ class FamilyScan:
 
 
 def family_q2plus1(
-    q: int, d: int, budget: SearchBudget = DEFAULT_BUDGET, weights=None
+    q: int, d: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> FamilyScan:
     """Pipeline family at length up to q**2 + 1.
 
@@ -283,8 +282,7 @@ def family_q2plus1(
         raise Contradiction(f"BCH/HT bound {floor} is below the design distance {d}")
     pc = puncture_spectral(spec)
     wmin = max(2 * (d - 1), 1)
-    wlist = list(weights) if weights is not None else list(range(wmin, n + 1))
-    presence = weight_spectrum(pc, wlist, budget)
+    presence = weight_spectrum(pc, range(wmin, n + 1), budget)
     records: list[QuantumCodeParams] = []
     witnesses: dict[int, tuple] = {}
     for res in presence:
@@ -296,7 +294,7 @@ def family_q2plus1(
             raise Contradiction("rescaling changed the dimension of the code")
         params = stabilizer_from_self_orthogonal(
             d_code, budget, d_floor=floor,
-            prefer_relative=True if q <= 3 else None,
+            prefer_relative=q <= 3,
             provenance=(f"mds({Q},{d})", pc.source, f"w={w}", "rescale"),
         )
         if params.d_exact:

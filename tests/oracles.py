@@ -211,6 +211,21 @@ def step_walk_modulus_low(p, m):
     return None
 
 
+def smallest_log_root(small, big):
+    """The root of small's modulus in big with the smallest discrete log,
+    found by evaluating the modulus at every power of big's generator that
+    lies in the subfield, lowest log first."""
+    t = (big.q - 1) // (small.q - 1)
+    for j in range(small.q - 1):
+        cand = big.exp_table[(t * j) % (big.q - 1)]
+        acc = 0
+        for c in reversed(small.modulus):
+            acc = big.add(big.mul(acc, cand), c)
+        if acc == 0:
+            return cand
+    return None
+
+
 def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
     """kernels.scan_level by ranking every support: for w <= r (parity
     rows), one batch_rank of each size-w support in itertools.combinations

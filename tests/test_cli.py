@@ -228,6 +228,14 @@ def test_malformed_range_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_root_field_too_large_is_an_input_error(capsys):
+    # GF(257) itself is fine; the splitting field GF(257**2) is not
+    status, out, err = run(capsys, "mds", "257", "5")
+    assert status == 2
+    assert out == ""
+    assert err == f"error: root field GF(257**2) exceeds {MAX_FIELD_ORDER}\n"
+
+
 GOOD_WITNESS = {"q": 3, "d": 3, "n": 10, "weight": 2, "support": [0, 1],
                 "values": [1, 2], "seed": 0}
 

@@ -113,6 +113,18 @@ def test_modulus_search_matches_step_walk():
     ]
 
 
+def test_embedding_sends_generator_to_smallest_log_root():
+    # under norm-compatible moduli the log scaling lands on the root a
+    # search over the subfield powers finds first
+    pairs = [((p, a), (p, b)) for p, b in prime_powers(4096)
+             for a in range(1, b) if b % a == 0]
+    assert len(pairs) == 57
+    for small, big in pairs:
+        small, big = build_field(*small), build_field(*big)
+        got = embed(small, big).map(small.generator)
+        assert got == oracles.smallest_log_root(small, big), (small, big)
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 4), (2, 6), (3, 4)])
 def test_conjugate_and_norm(p, m):
     f = build_field(p, m)

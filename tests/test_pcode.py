@@ -219,6 +219,21 @@ def test_sampling_pass_reruns_for_a_new_budget():
     assert again.witness == weight_present(fresh, 20, wide).witness
 
 
+def test_spectrum_after_lowest_keeps_every_verdict():
+    # lowest samples under its own tag; the spectrum's pass must still run
+    budget = SearchBudget(enum=1, support=0, samples=300, seed=7)
+    fresh = weight_spectrum(puncture_spectral(mds_spec(16, 3)), None, budget)
+    assert any(r.found for r in fresh)
+    pc = puncture_spectral(mds_spec(16, 3))
+    pc.lowest(budget, 0x31)
+    after = weight_spectrum(pc, None, budget)
+    for a, b in zip(fresh, after):
+        if a.verdict != "UnknownWithinBudget":
+            assert b.verdict == a.verdict, a.weight
+        if b.found:
+            assert in_puncture_code(pc, b.witness)
+
+
 def test_scan_settles_low_weights_exactly():
     spec = mds_spec(16, 3)
     pc = puncture_spectral(spec)
