@@ -88,22 +88,17 @@ class _Out:
                 handle.write(payload)
 
 
-def _witness_dict(q, d, n, weight, support, values, seed):
+def _witness_from_word(q, d, n, word, seed):
+    support = [i for i, v in enumerate(word) if v]
     return {
         "q": q,
         "d": d,
         "n": n,
-        "weight": weight,
-        "support": list(support),
-        "values": list(values),
+        "weight": len(support),
+        "support": support,
+        "values": [word[i] for i in support],
         "seed": seed,
     }
-
-
-def _witness_from_word(q, d, n, word, seed):
-    support = [i for i, v in enumerate(word) if v]
-    values = [word[i] for i in support]
-    return _witness_dict(q, d, n, len(support), support, values, seed)
 
 
 def _is_int(x) -> bool:

@@ -196,23 +196,15 @@ class FieldTable:
         q = self.q
         exp = [0] * max(2 * (q - 1), 2)
         log = [-1] * q
-        if m == 1:
-            g = (p - low) % p
-            v = 1
-            for i in range(q - 1):
-                exp[i] = v
-                exp[i + q - 1] = v
-                log[v] = i
-                v = (v * g) % p
-        else:
-            v = 1
-            for i in range(q - 1):
-                exp[i] = v
-                exp[i + q - 1] = v
-                log[v] = i
-                v = _mul_by_x(v, p, m, low)
-            if v != 1:
-                raise Contradiction(f"exp table for GF({q}) did not close")
+        # for m == 1, x reduces to the constant -low: powers of g = -low mod p
+        v = 1
+        for i in range(q - 1):
+            exp[i] = v
+            exp[i + q - 1] = v
+            log[v] = i
+            v = _mul_by_x(v, p, m, low)
+        if v != 1:
+            raise Contradiction(f"exp table for GF({q}) did not close")
         self.exp_table = tuple(exp)
         self.log_table = tuple(log)
         self.generator = self.exp_table[1] if q > 2 else 1

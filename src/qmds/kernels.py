@@ -4,7 +4,9 @@ behind weight searches.
 Everything here stays exact.  The numpy paths take and return uint8 field
 elements.  Over a prime field GF(p) they compute with integers reduced mod p;
 over other fields they go through per-field lookup tables.  Either way they
-are just a faster way to run the same integer computation.
+are just a faster way to run the same integer computation.  Products go
+through gf_matmul, and every elimination (rref, batch_rank and the prefix
+tree) through rank_one_update, the one place that picks its arithmetic.
 
 The MDS check and the support scans share one walk, dependent_supports, over
 the prefix tree of column subsets.  batch_rank does not choose the supports
@@ -75,8 +77,8 @@ def rref(field, rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns), the rows as
     lists of Python ints.
 
-    Eliminates a uint8 copy through the field's lookup tables: each pivot
-    clears its column from every other row in one rank-1 update.
+    Eliminates a uint8 copy: each pivot clears its column from every other
+    row in one rank_one_update.
     """
     if not len(rows):
         return [], []
@@ -93,9 +95,9 @@ def rref(field, rows):
             continue
         top = t.mul[t.inv[lead], mat[pr, c:]]
         # rows r.. are zero left of c, so row r moves to pr and the update
-        # touches columns c.. only; it zeroes row r, which then takes top
+        # touches columns c.. only; row r then takes top
         mat[pr, c:] = mat[r, c:]
-        mat[:, c:] = t.sub[mat[:, c:], t.mul[mat[:, c, None], top]]
+        mat[:, c:] = rank_one_update(field, mat[:, c:], mat[:, c, None], 1, top)
         mat[r, c:] = top
         pivots.append(c)
         r += 1
@@ -127,14 +129,33 @@ def rref_null_space(field, red, pivots, ncols: int):
 
 
 def _elimination_prime(field) -> int:
-    """p when batch_rank can eliminate over GF(p) in uint8 integers, else 0.
+    """p when rank_one_update can eliminate over GF(p) in uint8 integers,
+    else 0.
 
-    A row update forms sub + col * (-1/pivot) * prow before reducing it mod
-    p, each of the three factors below p.  Its largest value
-    (p-1) + (p-1)**3 must fit uint8, which holds for p <= 7.
+    The update forms a + col * (-inv) * row before reducing it mod p, each
+    of the three factors below p.  Its largest value (p-1) + (p-1)**3 must
+    fit uint8, which holds for p <= 7.
     """
     p = field.p
     return p if field.m == 1 and (p - 1) + (p - 1) ** 3 <= 255 else 0
+
+
+def rank_one_update(field, a: np.ndarray, col, inv, row) -> np.ndarray:
+    """a - col * inv * row, the product broadcasting to the shape of a: the
+    one elimination step of rref, batch_rank and the prefix tree.
+
+    Over GF(p), p <= 7, it computes in uint8 integers and reduces mod p
+    once; otherwise it gathers through the field's tables.  A zero inv
+    leaves a unchanged.
+    """
+    p = _elimination_prime(field)
+    if p:
+        out = col * ((p - inv) % p) * row
+        out += a
+        out %= p
+        return out
+    t = field.np_tables()
+    return t.sub[a, t.mul[t.mul[col, inv], row]]
 
 
 def batch_rank(field, mats: np.ndarray) -> np.ndarray:
@@ -150,7 +171,6 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
     contiguous memory.
     """
     t = field.np_tables()
-    p = _elimination_prime(field)
     m = np.ascontiguousarray(np.asarray(mats, dtype=np.uint8).transpose(2, 1, 0))
     w, r, nb = m.shape
     rank = np.zeros(nb, dtype=np.int64)
@@ -165,15 +185,7 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
         # a zero column picks row 0, whose zero entry has table inverse 0:
         # every factor is then zero and the matrix stays as it is
         inv = t.inv[col[piv, ar]]
-        prow = m[1:, piv, ar][:, None, :]
-        if p:
-            # m - col/pivot * prow, each factor below p before the sum
-            upd = col * ((p - inv) % p) * prow
-            upd += m[1:]
-            upd %= p
-        else:
-            upd = t.sub[m[1:], t.mul[t.mul[col, inv], prow]]
-        m = upd
+        m = rank_one_update(field, m[1:], col, inv, m[1:, piv, ar][:, None, :])
     return rank
 
 
@@ -182,24 +194,18 @@ def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> n
     that clears column col, without the pivot row (the first nonzero entry
     of that column), or zero where that column is zero."""
     t = field.np_tables()
-    p = _elimination_prime(field)
     colv = pm[node, :, col]
     ar = np.arange(len(node))
     piv = np.argmax(colv != 0, axis=1)
     keep = np.arange(pm.shape[1] - 1)[None, :]
     keep = keep + (keep >= piv[:, None])
-    inv = t.inv[colv[ar, piv]][:, None]
-    if p:
-        fac = (colv[ar[:, None], keep] * inv % p)[:, :, None]
-        upd = (p - 1) * fac * pm[node, piv, :][:, None, :]
-        upd += pm[node[:, None], keep, :]
-        upd %= p
-    else:
-        fac = t.mul[colv[ar[:, None], keep], inv][:, :, None]
-        upd = t.mul[fac, pm[node, piv, :][:, None, :]]
-        upd = t.sub[pm[node[:, None], keep, :], upd]
+    inv = t.inv[colv[ar, piv]][:, None, None]
+    upd = rank_one_update(
+        field, pm[node[:, None], keep, :], colv[ar[:, None], keep][:, :, None], inv,
+        pm[node, piv, :][:, None, :],
+    )
     # a zero column has table inverse 0 and a dependent child
-    upd[inv[:, 0] == 0] = 0
+    upd[inv[:, 0, 0] == 0] = 0
     return upd
 
 
@@ -356,7 +362,7 @@ class ScanOutcome:
     exhaustive: bool
 
 
-def _first_passing(field, words: np.ndarray, need_full: bool, reject):
+def _first_passing(words: np.ndarray, need_full: bool, reject):
     mask = words.any(axis=1)
     if need_full:
         mask &= (words != 0).all(axis=1)
@@ -373,25 +379,24 @@ def probe_support(field, parity_np, support, need_full, reject, seed, tag):
     """Hunt a passing word among code words supported inside one support.
 
     Returns (support-local vector | None, exhaustive).  Exhaustive means
-    every projective candidate on this support was checked.
+    every projective candidate on this support was checked; otherwise
+    SUBSCAN_SAMPLES messages are drawn with iter_sampled_words.
     """
     w = len(support)
     basis = null_space(field, parity_np[:, list(support)], w)
     if not basis:
         return None, True
-    basis = np.array(basis, dtype=np.uint8)
-    q = field.q
-    if projective_count(q, len(basis)) <= SUBSCAN_EXACT_CAP:
-        for words in iter_projective_words(field, basis):
-            hit = _first_passing(field, words, need_full, reject)
-            if hit is not None:
-                return hit, True
-        return None, True
-    rng = philox(seed, tag)
-    msgs = rng.integers(0, q, size=(SUBSCAN_SAMPLES, len(basis)), dtype=np.uint8)
-    words = gf_matmul(field, msgs, basis)
-    hit = _first_passing(field, words, need_full, reject)
-    return hit, False
+    exhaustive = projective_count(field.q, len(basis)) <= SUBSCAN_EXACT_CAP
+    if exhaustive:
+        chunks = iter_projective_words(field, basis)
+    else:
+        sampled = iter_sampled_words(field, basis, SUBSCAN_SAMPLES, seed, tag=tag)
+        chunks = (words for _, words in sampled)
+    for words in chunks:
+        hit = _first_passing(words, need_full, reject)
+        if hit is not None:
+            return hit, exhaustive
+    return None, exhaustive
 
 
 def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):

@@ -3,7 +3,9 @@ budget-bounded weight searches.
 
 A LinearCode stores its generator matrix in reduced row echelon form, so two
 codes are equal exactly when they have the same row space over the same
-field.
+field.  The exact linear algebra runs in the kernels: membership is a
+syndrome product against the parity rows, one gf_matmul per batch of rows,
+and the rows that extend a subcode's basis come from one rref.
 """
 
 from __future__ import annotations
@@ -53,20 +55,19 @@ class LinearCode:
     def __repr__(self):
         return f"[{self.n},{self.k}] over GF({self.field.q})"
 
-    def reduce(self, vec) -> tuple[int, ...]:
-        """Residue of vec after elimination against the generator rows."""
+    def syndromes(self, rows) -> np.ndarray:
+        """rows @ parity_rows^T, one gf_matmul for the batch: a row is a code
+        word exactly when its syndrome is zero."""
         f = self.field
-        v = list(vec)
-        for row, p in zip(self.gen, self.pivots):
-            c = v[p]
-            if c:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        return kernels.gf_matmul(
+            f, kernels.np_matrix(f, rows, self.n),
+            kernels.np_matrix(f, self.parity_rows, self.n).T,
+        )
 
     def contains(self, vec) -> bool:
         if len(vec) != self.n:
             raise LengthMismatch(f"vector length {len(vec)} != {self.n}")
-        return not any(self.reduce(vec))
+        return not self.syndromes([vec]).any()
 
 
 def linear_code(field: FieldTable, rows, n: int | None = None) -> LinearCode:
@@ -115,7 +116,7 @@ def is_subcode(sub: LinearCode, sup: LinearCode) -> bool:
         raise FieldMismatch("codes over different fields")
     if sub.n != sup.n:
         raise LengthMismatch("codes of different lengths")
-    return all(sup.contains(r) for r in sub.gen)
+    return not sup.syndromes(sub.gen).any()
 
 
 def _check_coords(n: int, coords) -> tuple[int, ...]:
@@ -235,15 +236,12 @@ def _mds_witness(code: LinearCode) -> tuple:
 
 
 def _extension_rows(big: LinearCode, sub: LinearCode):
-    """Rows of big.gen completing a basis of big over the subcode."""
-    f = big.field
-    ext = []
-    work = list(sub.gen)
-    for row in big.gen:
-        red, _ = kernels.rref(f, work + ext + [list(row)])
-        if len(red) > len(work) + len(ext):
-            ext.append(list(row))
-    return ext
+    """Rows of big.gen completing a basis of big over the subcode: the first
+    rows, in order, that are independent of sub and of the rows before them.
+    Those are the pivot columns past sub.k of [sub.gen; big.gen]^T."""
+    cols = np.array(sub.gen + big.gen, dtype=np.uint8).T
+    _, pivots = kernels.rref(big.field, cols)
+    return [big.gen[c - sub.k] for c in pivots if c >= sub.k]
 
 
 def _weight(word) -> int:
@@ -275,8 +273,7 @@ class WordSearch:
     def rows(self) -> list[tuple[int, ...]]:
         if self.sub is None:
             return list(self.code.gen)
-        ext = _extension_rows(self.code, self.sub)
-        return [tuple(r) for r in ext] + list(self.sub.gen)
+        return _extension_rows(self.code, self.sub) + list(self.sub.gen)
 
     @property
     def enum_cost(self) -> int:

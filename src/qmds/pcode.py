@@ -30,21 +30,31 @@ from .linalg import (
     LinearCode,
     WordSearch,
     code_from_parity,
-    hermitian_inner,
     linear_code,
     subfield_subcode,
 )
 
 
-def _product_rows(code: LinearCode):
-    """All componentwise conj(b_i) * b_j over generator pairs."""
+def _conj_gen(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """(conj(G), G) for the generator matrix G, as uint8 arrays."""
     f = code.field
-    conj_rows = [[conjugate(f, x) for x in row] for row in code.gen]
-    rows = []
-    for ci in conj_rows:
-        for bj in code.gen:
-            rows.append([f.mul(a, b) for a, b in zip(ci, bj)])
-    return rows
+    conj = np.array([conjugate(f, v) for v in range(f.q)], dtype=np.uint8)
+    gen = kernels.np_matrix(f, code.gen, code.n)
+    return conj[gen], gen
+
+
+def _product_rows(code: LinearCode) -> np.ndarray:
+    """All componentwise conj(b_i) * b_j over generator pairs, row i*k + j."""
+    conj_gen, gen = _conj_gen(code)
+    prods = code.field.np_tables().mul[conj_gen[:, None, :], gen[None, :, :]]
+    return prods.reshape(-1, code.n)
+
+
+def _hermitian_gram(code: LinearCode, weights: np.ndarray) -> np.ndarray:
+    """conj(G) diag(weights) G^T: entry (i, j) is sum_t w_t conj(b_i,t) b_j,t."""
+    conj_gen, gen = _conj_gen(code)
+    weighted = code.field.np_tables().mul[conj_gen, weights[None, :]]
+    return kernels.gf_matmul(code.field, weighted, gen.T)
 
 
 class PunctureCode(WordSearch):
@@ -185,15 +195,8 @@ def respects_product_pairing(code: LinearCode, x) -> bool:
     if code.k == 0:
         return True
     emb = embed(small, big)
-    t = big.np_tables()
-    gen = kernels.np_matrix(big, code.gen, code.n)
-    conj_gen = np.array(
-        [[conjugate(big, int(v)) for v in row] for row in code.gen], dtype=np.uint8
-    )
     xe = np.array([emb.map(v) for v in x], dtype=np.uint8)
-    weighted = t.mul[conj_gen, xe[None, :]]
-    gram = kernels.gf_matmul(big, weighted, gen.T)
-    return not gram.any()
+    return not _hermitian_gram(code, xe).any()
 
 
 def in_puncture_code(pc: PunctureCode, x) -> bool:
@@ -223,8 +226,6 @@ def rescale_self_orthogonal(code: LinearCode, x) -> LinearCode:
     ys = [norm_preimage(big, emb.map(x[t])) for t in support]
     rows = [[big.mul(y, row[t]) for y, t in zip(ys, support)] for row in code.gen]
     d_code = linear_code(big, rows, len(support))
-    for i, u in enumerate(d_code.gen):
-        for v in d_code.gen[i:]:
-            if hermitian_inner(big, u, v):
-                raise NotSelfOrthogonal("rescaled code is not self-orthogonal")
+    if _hermitian_gram(d_code, np.ones(d_code.n, dtype=np.uint8)).any():
+        raise NotSelfOrthogonal("rescaled code is not self-orthogonal")
     return d_code

@@ -168,6 +168,19 @@ def _rank(f: FieldTable, rows):
     return len(rref(f, rows)[0])
 
 
+def extension_rows(big, sub):
+    """Rows of big.gen completing a basis of big over the subcode, greedily:
+    a row joins when it raises the rank of sub.gen plus the rows taken."""
+    f = big.field
+    ext = []
+    work = list(sub.gen)
+    for row in big.gen:
+        red, _ = rref(f, work + ext + [list(row)])
+        if len(red) > len(work) + len(ext):
+            ext.append(list(row))
+    return ext
+
+
 def _times_x(v, p, lows):
     """v * x mod x^m + low(x), coefficient lists lowest degree first."""
     shifted = [0] + v[:-1]

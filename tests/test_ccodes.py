@@ -4,6 +4,7 @@ import pytest
 
 from qmds.ccodes import (
     ConstacyclicSpec,
+    _check_shift_closure,
     bch_ht_bound,
     build_code,
     canonical_beta_log,
@@ -13,9 +14,9 @@ from qmds.ccodes import (
 )
 from qmds.errors import BadDistance, DescentFailure, TowerTooLarge
 from qmds.gf import build_field, embed, field_for_order
-from qmds.linalg import mds_verify
+from qmds.linalg import linear_code, mds_verify
 
-from oracles import all_codewords, brute_min_weight
+from oracles import all_codewords, brute_min_weight, is_member
 
 
 def test_frozen_spec_serializations():
@@ -88,6 +89,24 @@ def test_twisted_shift_closure(Q, d):
     for row in code.gen:
         shifted = (f.mul(a, row[-1]),) + row[:-1]
         assert code.contains(shifted)
+
+
+@pytest.mark.parametrize("Q,d", [(4, 3), (5, 3), (9, 4)])
+def test_twisted_shift_closure_check_rejects_an_open_code(Q, d):
+    # a same-length code whose last generator row is moved off the code:
+    # some twisted shift of a row then leaves it
+    spec = mds_spec(Q, d)
+    good = build_code(spec)
+    f = spec.field
+    rows = [list(r) for r in good.gen]
+    rows[-1][0] = f.add(rows[-1][0], 1)
+    code = linear_code(f, rows, spec.n)
+    a = f.pow(f.generator, spec.shift_log)
+    shifted = [(f.mul(a, row[-1]),) + row[:-1] for row in code.gen]
+    assert not all(is_member(code, s) for s in shifted)
+    _check_shift_closure(spec, good)
+    with pytest.raises(DescentFailure):
+        _check_shift_closure(spec, code)
 
 
 def test_beta_log_consistency_guard():

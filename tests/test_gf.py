@@ -6,7 +6,9 @@ import pytest
 
 import oracles
 
+from qmds import gf
 from qmds.errors import (
+    Contradiction,
     NotASubfield,
     NotGaloisStable,
     NotInSubfield,
@@ -16,6 +18,7 @@ from qmds.errors import (
     UnsupportedAlphabet,
 )
 from qmds.gf import (
+    FieldTable,
     _find_modulus_low,
     build_field,
     conjugate,
@@ -84,6 +87,23 @@ def test_generator_is_primitive():
             seen.add(v)
             v = f.mul(v, f.generator)
         assert len(seen) == f.q - 1
+
+
+def test_prime_exp_table_is_powers_of_minus_low():
+    # x reduces to g = -low mod p, so the exp table lists the powers of g
+    primes = [p for p in range(2, 2000) if all(p % r for r in range(2, int(p**0.5) + 1))]
+    for p in primes:
+        f = FieldTable(p, 1)
+        g = (-f.modulus[0]) % p
+        powers = tuple(pow(g, i, p) for i in range(p - 1))
+        assert f.exp_table == powers * 2
+
+
+def test_prime_exp_table_must_close(monkeypatch):
+    # x = 0 (low = 0) is no unit: its powers never return to 1
+    monkeypatch.setattr(gf, "_find_modulus_low", lambda p, m: 0)
+    with pytest.raises(Contradiction, match="did not close"):
+        FieldTable(7, 1)
 
 
 def test_modulus_snapshots():

@@ -24,7 +24,12 @@ their dependent supports on a prefix tree instead of ranking every
 support: `weights 8 3` scans over GF(8) by table gathers, proving weights
 1-3 absent by complete scans and finding 4-6 mid-level, and `weights 7 4`
 scans over GF(7) by mod-p elimination, five complete levels that prove
-1-5 absent.
+1-5 absent.  The last one was recorded at commit 2c7cd07, before code
+membership became a syndrome product and the product rows one table
+broadcast: `pc 9 5 --route both` builds P(C) of a code over GF(81), an
+odd-characteristic table field, from the product rows of the direct route
+and by the spectral route, whose code build checks the twisted shift
+closure.
 """
 
 import hashlib
@@ -94,6 +99,9 @@ GOLDEN = [
     (("--budget-enum", "1", "--budget-samples", "0", "weights", "7", "4",
       "--range", "1..9"),
      "9c9c4a63adc72e3eeba8db21412260a7541ecccf69ab18d68b0d8e5d0a407604", 3),
+    # product rows, shift closure and the direct route over GF(81)
+    (("pc", "9", "5", "--route", "both"),
+     "dd239e731c456915d44806d7bd1bef96261fa51813f5b4950459606c68a44616", 0),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmds import kernels
-from qmds.budgets import SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP
+from qmds.budgets import SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP, SUBSCAN_SAMPLES
 from qmds.errors import Contradiction
 from qmds.gf import build_field
 from qmds.kernels import (
@@ -624,6 +624,39 @@ def test_scan_level_dense_cap(monkeypatch):
     monkeypatch.setattr(kernels, "DENSE_SUPPORT_CAP", 6)
     out = scan_level(F3, code.parity_rows, 6, 5, 0, **none)
     assert out.completed and out.exhaustive and out.supports_scanned == 6
+
+
+@pytest.mark.parametrize("f", [F2, F3, F5, F7, F11, F4, F9, F64], ids=repr)
+def test_rank_one_update_matches_scalar_reference(f):
+    rng = np.random.default_rng(f.q)
+    a = rng.integers(0, f.q, size=(3, 4, 5), dtype=np.uint8)
+    col = rng.integers(0, f.q, size=(3, 4, 1), dtype=np.uint8)
+    inv = rng.integers(0, f.q, size=(3, 1, 1), dtype=np.uint8)
+    inv[0] = 0  # a zero inverse leaves its block unchanged
+    row = rng.integers(0, f.q, size=(3, 1, 5), dtype=np.uint8)
+    got = kernels.rank_one_update(f, a, col, inv, row)
+    for b, i, j in itertools.product(range(3), range(4), range(5)):
+        fac = f.mul(f.mul(int(col[b, i, 0]), int(inv[b, 0, 0])), int(row[b, 0, j]))
+        assert got[b, i, j] == f.sub(int(a[b, i, j]), fac)
+    assert (got[0] == a[0]).all()
+
+
+def test_sampled_probe_takes_one_philox_draw():
+    # the sampled probe checks the words of one SUBSCAN_SAMPLES-message
+    # draw of philox(seed, tag), in order
+    parity = np_matrix(F5, [[1, 2, 3, 4, 1, 2, 3, 4, 1]], 9)
+    support = tuple(range(9))
+    basis = null_space(F5, parity, 9)
+    assert projective_count(5, len(basis)) > SUBSCAN_EXACT_CAP
+    for seed, tag in ((3, 1), (7, (9 << 32) | 5)):
+        msgs = philox(seed, tag).integers(
+            0, 5, size=(SUBSCAN_SAMPLES, len(basis)), dtype=np.uint8
+        )
+        full = [w for w in (scalar_encode(F5, m, basis) for m in msgs) if all(w)]
+        vec, exact = probe_support(F5, parity, support, True, None, seed, tag)
+        assert (vec, exact) == (full[0], False)
+        vec, _ = probe_support(F5, parity, support, True, lambda v: v == full[0], seed, tag)
+        assert vec == full[1]
 
 
 def test_probe_support_paths():

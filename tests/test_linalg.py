@@ -17,6 +17,7 @@ from qmds.gf import build_field, field_for_order
 from qmds.kernels import null_space
 from qmds.linalg import (
     WordSearch,
+    _extension_rows,
     code_from_parity,
     dual,
     hermitian_inner,
@@ -31,6 +32,7 @@ from qmds.linalg import (
     words_supported_in,
 )
 
+import oracles
 from oracles import (
     all_codewords,
     brute_min_weight,
@@ -333,6 +335,45 @@ def test_spectrum_against_macwilliams():
     assert macwilliams_dual_spectrum(primal, 3, c.n, c.k) == dual_counts
 
 
+# GF(2), GF(4), GF(5), GF(7), GF(8), GF(9), GF(49), GF(64): the mod-p,
+# float32 and table-gather paths of the syndrome product
+MEMBER_FIELDS = [(2, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2), (2, 6)]
+
+
+def combine(f, rows, coeffs, n):
+    """sum coeffs[i] * rows[i], one field operation at a time."""
+    word = [0] * n
+    for c, row in zip(coeffs, rows):
+        word = [f.add(x, f.mul(c, y)) for x, y in zip(word, row)]
+    return tuple(word)
+
+
+def random_member(f, code, rng):
+    return combine(f, code.gen, [rng.randrange(f.q) for _ in code.gen], code.n)
+
+
+def near_member(f, code, rng):
+    """A member with one coordinate moved to another value."""
+    word = list(random_member(f, code, rng))
+    i = rng.randrange(code.n)
+    word[i] = f.add(word[i], rng.randrange(1, f.q))
+    return tuple(word)
+
+
+def random_subcode(f, code, j, rng):
+    rows = [random_member(f, code, rng) for _ in range(j)]
+    return linear_code(f, rows, code.n)
+
+
+def member_codes(p, m, seed):
+    """(field, code, rng) for every dimension 0..n of one length."""
+    f = build_field(p, m)
+    n = 8 if f.q == 2 else 7
+    rng = random.Random(seed)
+    for k in range(n + 1):
+        yield f, random_code(f, n, k, rng) if k else linear_code(f, [], n), rng
+
+
 def test_is_member_oracle_agrees_with_contains():
     f = build_field(2, 2)
     rng = random.Random(11)
@@ -340,6 +381,46 @@ def test_is_member_oracle_agrees_with_contains():
     for _ in range(50):
         vec = tuple(rng.randrange(4) for _ in range(6))
         assert c.contains(vec) == is_member(c, vec)
+    # members, near-members and random vectors, every dimension 0..n
+    for p, m in MEMBER_FIELDS:
+        for f, c, rng in member_codes(p, m, 31 * p + m):
+            vecs = [random_member(f, c, rng) for _ in range(8)]
+            vecs += [near_member(f, c, rng) for _ in range(8)]
+            vecs += [tuple(rng.randrange(f.q) for _ in range(c.n)) for _ in range(4)]
+            expect = [is_member(c, v) for v in vecs]
+            assert expect[:8] == [True] * 8
+            assert [c.contains(v) for v in vecs] == expect
+            assert (~c.syndromes(vecs).any(axis=1)).tolist() == expect
+
+
+@pytest.mark.parametrize("p,m", MEMBER_FIELDS)
+def test_is_subcode_matches_oracle(p, m):
+    for f, c, rng in member_codes(p, m, 17 * p + m):
+        for j in range(c.k + 1):
+            sub = random_subcode(f, c, j, rng)
+            assert is_subcode(sub, c)
+            assert is_subcode(c, sub) == (sub.k == c.k)
+            if not sub.k:
+                continue
+            rows = [list(r) for r in sub.gen]
+            i = rng.randrange(sub.k)
+            t = rng.randrange(c.n)
+            rows[i][t] = f.add(rows[i][t], rng.randrange(1, f.q))
+            bent = linear_code(f, rows, c.n)
+            assert is_subcode(bent, c) == all(is_member(c, r) for r in bent.gen)
+
+
+@pytest.mark.parametrize("p,m", MEMBER_FIELDS)
+def test_extension_rows_match_greedy_oracle(p, m):
+    for f, c, rng in member_codes(p, m, 13 * p + m):
+        for j in range(c.k + 1):
+            # a random subcode, and the span of the last j generator rows,
+            # which makes the greedy pass skip rows
+            for sub in (random_subcode(f, c, j, rng),
+                        linear_code(f, c.gen[c.k - j:], c.n)):
+                want = [tuple(r) for r in oracles.extension_rows(c, sub)]
+                assert _extension_rows(c, sub) == want
+                assert len(want) == c.k - sub.k
 
 
 def test_is_subcode():

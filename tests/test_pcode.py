@@ -13,9 +13,11 @@ from qmds.errors import (
     LengthMismatch,
     NotInPunctureCode,
     NotQuadraticTower,
+    NotSelfOrthogonal,
     ZeroWord,
 )
 from qmds.gf import build_field, field_for_order
+from qmds import pcode
 from qmds.linalg import dual, linear_code
 from qmds.pcode import (
     in_puncture_code,
@@ -275,6 +277,18 @@ def test_rescale_partial_support():
     d_code = rescale_self_orthogonal(c_small, res.witness)
     assert d_code.n == 4 and d_code.k == c_small.k
     assert oracles.hermitian_gram_is_zero(d_code)
+
+
+def test_rescale_checks_self_orthogonality_itself(monkeypatch):
+    # with the pairing test waved through, a word outside P(C) gives a
+    # rescaled code that is not self-orthogonal, and the Gram check says so
+    spec = mds_spec(9, 3)
+    c_small = dual(build_code(spec), "hermitian")
+    bad = (1,) + (0,) * 9
+    assert not in_puncture_code(puncture_spectral(spec), bad)
+    monkeypatch.setattr(pcode, "respects_product_pairing", lambda code, x: True)
+    with pytest.raises(NotSelfOrthogonal):
+        rescale_self_orthogonal(c_small, bad)
 
 
 def test_rescale_rejects_bad_words():
