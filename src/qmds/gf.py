@@ -37,11 +37,7 @@ MAX_TABLE_ORDER = 256
 
 
 def _digits(x: int, p: int, m: int) -> list[int]:
-    out = []
-    for _ in range(m):
-        x, r = divmod(x, p)
-        out.append(r)
-    return out
+    return [x // p**i % p for i in range(m)]
 
 
 def _digit_add(a: int, b: int, p: int) -> int:
@@ -253,27 +249,26 @@ class FieldTable:
         return self.exp_table[(self.log_table[a] * e) % (self.q - 1)]
 
     def np_tables(self) -> SimpleNamespace:
-        """Dense uint8 lookup tables for vectorized kernels."""
+        """Dense uint8 tables for vectorized kernels: add, sub, mul, neg, inv
+        (inv[0] = 0) and digits, row a the base-p digits of a, lowest first."""
         if self._np is None:
             if self.q > MAX_TABLE_ORDER:
                 raise TooLarge(
                     f"vectorized tables support order <= {MAX_TABLE_ORDER}, got {self.q}"
                 )
-            q = self.q
-            add = np.zeros((q, q), dtype=np.uint8)
-            mul = np.zeros((q, q), dtype=np.uint8)
-            neg = np.zeros(q, dtype=np.uint8)
-            inv = np.zeros(q, dtype=np.uint8)
-            for a in range(q):
-                neg[a] = self.neg(a)
-                if a:
-                    inv[a] = self.inv(a)
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    if a and b:
-                        mul[a, b] = self.mul(a, b)
-            sub = add[:, neg]
-            self._np = SimpleNamespace(add=add, sub=sub, mul=mul, neg=neg, inv=inv)
+            p, q = self.p, self.q
+            xs = p ** np.arange(self.m)
+            digits = np.arange(q)[:, None] // xs % p
+            add = ((digits[:, None] + digits) % p) @ xs
+            neg = (-digits % p) @ xs
+            exp = np.array(self.exp_table)
+            # log 0 is read as 0, then the zero row and column are cleared
+            log = np.maximum(self.log_table, 0)
+            mul = exp[log[:, None] + log]
+            mul[0] = mul[:, 0] = 0
+            inv = (mul == 1).argmax(axis=1)  # row 0 holds no 1: inv[0] = 0
+            tables = dict(add=add, sub=add[:, neg], mul=mul, neg=neg, inv=inv, digits=digits)
+            self._np = SimpleNamespace(**{k: v.astype(np.uint8) for k, v in tables.items()})
         return self._np
 
 
@@ -457,9 +452,6 @@ def poly_from_roots(big: FieldTable, roots, target: SubfieldEmbedding) -> Polyno
             nxt[i] = big.add(nxt[i], big.mul(c, nr))
             nxt[i + 1] = big.add(nxt[i + 1], c)
         coeffs = nxt
-    small_coeffs = []
-    for c in coeffs:
-        if not target.contains(c):
-            raise NotGaloisStable("coefficient escapes the subfield")
-        small_coeffs.append(target.section(c))
-    return Polynomial(target.small, tuple(small_coeffs))
+    if not all(target.contains(c) for c in coeffs):
+        raise NotGaloisStable("coefficient escapes the subfield")
+    return Polynomial(target.small, tuple(target.section(c) for c in coeffs))

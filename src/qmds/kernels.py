@@ -2,11 +2,12 @@
 behind weight searches.
 
 Everything here stays exact.  The numpy paths take and return uint8 field
-elements.  Over a prime field GF(p) they compute with integers reduced mod p;
-over other fields they go through per-field lookup tables.  Either way they
-are just a faster way to run the same integer computation.  Products go
-through gf_matmul, and every elimination (rref, batch_rank and the prefix
-tree) through rank_one_update, the one place that picks its arithmetic.
+elements.  Products go through gf_matmul, one float32 product mod p for every
+field: over GF(p**m) it multiplies the base-p digits of the elements.  Every
+elimination (rref, batch_rank and the prefix tree) goes through
+rank_one_update, the one place that picks its arithmetic: integers reduced
+mod p over a small prime field, per-field lookup tables otherwise.  Either
+way they are just a faster way to run the same integer computation.
 
 The MDS check and the support scans share one walk, dependent_supports, over
 the prefix tree of column subsets.  batch_rank does not choose the supports
@@ -31,7 +32,6 @@ from .budgets import (
     SUBSCAN_SAMPLES,
 )
 from .errors import Contradiction
-from .gf import MAX_TABLE_ORDER
 
 
 def np_matrix(field, rows, ncols: int) -> np.ndarray:
@@ -43,22 +43,30 @@ def np_matrix(field, rows, ncols: int) -> np.ndarray:
 def gf_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact (x, k) @ (k, y) product over the field: the one encode kernel.
 
-    Over GF(p) this is a float32 (BLAS) matmul reduced mod p, used while
-    k * (p-1)**2 < 2**24: every partial sum is then an integer that float32
-    holds exactly, whatever the summation order.  Otherwise a loop of table
-    gathers.
+    Multiplication by an element of GF(p**m) is GF(p)-linear on the m base-p
+    digits, so a becomes its (x, k*m) digits and b the (k*m, y*m) matrix
+    whose row (j, s) holds the digits of b[j] times p**s, the element whose
+    s-th digit alone is 1; over GF(p) both stay as they are.  Their float32 (BLAS) product is
+    reduced mod p after each block of (2**24 - p) // (p-1)**2 inner terms,
+    so every partial sum is an integer below 2**24, exact in float32 in any
+    summation order.  The digits are then packed back into elements.
     """
-    p = field.p
-    if field.m == 1 and p <= MAX_TABLE_ORDER and a.shape[1] * (p - 1) ** 2 < 2**24:
-        out = _reduce_float32(a.astype(np.float32) @ b.astype(np.float32), p)
-        return out.astype(np.uint8)
+    p, m = field.p, field.m
     t = field.np_tables()
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for j in range(a.shape[1]):
-        col = a[:, j]
-        if col.any():
-            out = t.add[out, t.mul[col[:, None], b[j][None, :]]]
-    return out
+    x, k = a.shape
+    y = b.shape[1]
+    if m > 1:
+        xs = p ** np.arange(m)
+        a = t.digits[a].reshape(x, k * m)
+        b = t.digits[t.mul[xs[:, None, None], b]].transpose(1, 0, 2, 3).reshape(k * m, y * m)
+    step = (2**24 - p) // (p - 1) ** 2
+    out = _reduce_float32(a[:, :step].astype(np.float32) @ b[:step].astype(np.float32), p)
+    for lo in range(step, k * m, step):
+        out += a[:, lo:lo + step].astype(np.float32) @ b[lo:lo + step].astype(np.float32)
+        _reduce_float32(out, p)
+    if m > 1:
+        out = (out.reshape(x * y, m) @ xs.astype(np.float32)).reshape(x, y)
+    return out.astype(np.uint8)
 
 
 def _reduce_float32(x: np.ndarray, p: int) -> np.ndarray:
@@ -155,7 +163,9 @@ def rank_one_update(field, a: np.ndarray, col, inv, row) -> np.ndarray:
         out %= p
         return out
     t = field.np_tables()
-    return t.sub[a, t.mul[t.mul[col, inv], row]]
+    prod = t.mul[t.mul[col, inv], row]
+    del row  # a pivot row the caller gathered is freed before the last gather
+    return t.sub[a, prod]
 
 
 def batch_rank(field, mats: np.ndarray) -> np.ndarray:

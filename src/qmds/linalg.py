@@ -170,13 +170,8 @@ def subfield_subcode(code: LinearCode, small: FieldTable) -> LinearCode:
     emb = embed(small, big)
     split_parity = []
     for row in code.parity_rows:
-        r0, r1 = [], []
-        for x in row:
-            c0, c1 = emb.coords2(x)
-            r0.append(c0)
-            r1.append(c1)
-        split_parity.append(r0)
-        split_parity.append(r1)
+        # the c0 and the c1 coordinates of the row, as two rows
+        split_parity.extend(zip(*(emb.coords2(x) for x in row)))
     return code_from_parity(small, split_parity, code.n)
 
 

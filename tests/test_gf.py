@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -61,6 +62,27 @@ def test_field_axioms_random(p, m):
         assert f.add(a, f.neg(a)) == 0
         if a:
             assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,m", FIELDS + [(2, 8)])
+def test_np_tables_match_scalar_arithmetic(p, m):
+    """Every entry of the vectorized tables, against the scalar field."""
+    f = build_field(p, m)
+    t = f.np_tables()
+    q = f.q
+    for name in ("add", "sub", "mul", "neg", "inv", "digits"):
+        assert getattr(t, name).dtype == np.uint8
+    assert t.digits.tolist() == [[(a // p**i) % p for i in range(m)] for a in range(q)]
+    assert t.neg.tolist() == [f.neg(a) for a in range(q)]
+    assert t.inv.tolist() == [0] + [f.inv(a) for a in range(1, q)]
+    assert t.add.tolist() == [[f.add(a, b) for b in range(q)] for a in range(q)]
+    assert t.sub.tolist() == [[f.sub(a, b) for b in range(q)] for a in range(q)]
+    assert t.mul.tolist() == [[f.mul(a, b) for b in range(q)] for a in range(q)]
+
+
+def test_np_tables_refuse_past_the_table_order():
+    with pytest.raises(TooLarge):
+        build_field(257, 1).np_tables()
 
 
 def test_field_for_order():

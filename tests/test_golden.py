@@ -29,7 +29,12 @@ membership became a syndrome product and the product rows one table
 broadcast: `pc 9 5 --route both` builds P(C) of a code over GF(81), an
 odd-characteristic table field, from the product rows of the direct route
 and by the spectral route, whose code build checks the twisted shift
-closure.
+closure.  The last two were recorded at commit b869cfa, before gf_matmul
+multiplied over an extension field by the base-p digits of its elements:
+`qmds 8 4` at enum 1, no support scans and 4096 samples samples witnesses
+over GF(8), then rescales them and settles the distance over GF(64), and
+`weights 9 3` at the same budget samples over GF(9), an extension field of
+odd characteristic.
 """
 
 import hashlib
@@ -102,6 +107,13 @@ GOLDEN = [
     # product rows, shift closure and the direct route over GF(81)
     (("pc", "9", "5", "--route", "both"),
      "dd239e731c456915d44806d7bd1bef96261fa51813f5b4950459606c68a44616", 0),
+    # encodes over extension fields by their base-p digits
+    (("--budget-enum", "1", "--budget-support", "0", "--budget-samples", "4096",
+      "qmds", "8", "4"),
+     "84b130bb961d02db89464f803358965dd1dd28f5e02bbffd3e5cc2a0adfcd659", 3),
+    (("--budget-enum", "1", "--budget-support", "0", "--budget-samples", "4096",
+      "weights", "9", "3"),
+     "2c074d5e78a19739c39aab08de33e7ac3038060cc53c6b7c7ea964b64f86db0f", 3),
 ]
 
 

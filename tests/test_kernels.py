@@ -9,7 +9,7 @@ import pytest
 from qmds import kernels
 from qmds.budgets import SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP, SUBSCAN_SAMPLES
 from qmds.errors import Contradiction
-from qmds.gf import build_field
+from qmds.gf import _prime_power_parts, build_field, field_for_order
 from qmds.kernels import (
     _elimination_prime,
     _reduce_float32,
@@ -72,41 +72,51 @@ def base_q_digits(value, ndigits, q):
     return [(value // q**j) % q for j in range(ndigits - 1, -1, -1)]
 
 
-# GF(2), GF(3), GF(5), GF(7) take the float32 matmul mod p, GF(4), GF(9) the table loop
-@pytest.mark.parametrize("f", [F3, F4, F9, F2, F5, F7])
+def prime_powers_to(top):
+    return [q for q in range(2, top + 1) if len(_prime_power_parts(q)) == 1]
+
+
+# every field with tables: GF(p) multiplies its elements, GF(p**m) their
+# base-p digits, each through the same float32 product mod p
+@pytest.mark.parametrize("f", [field_for_order(q) for q in prime_powers_to(256)])
 def test_gf_matmul_matches_scalar_product(f):
     rng = random.Random(f.q)
-    for _ in range(20):
-        a = rand_mat(rng, f, 3, 4)
-        b = rand_mat(rng, f, 4, 5)
-        got = gf_matmul(f, np_matrix(f, a, 4), np_matrix(f, b, 5))
-        assert got.dtype == np.uint8
-        for i in range(3):
-            for j in range(5):
+    shapes = [(3, 4, 5)] * 20 + [(3, 0, 5), (1, 4, 5), (3, 4, 1), (1, 1, 1), (0, 4, 5)]
+    for x, k, y in shapes:
+        a = rand_mat(rng, f, x, k)
+        b = rand_mat(rng, f, k, y)
+        got = gf_matmul(f, np.array(a, dtype=np.uint8).reshape(x, k),
+                        np.array(b, dtype=np.uint8).reshape(k, y))
+        assert got.dtype == np.uint8 and got.shape == (x, y)
+        for i in range(x):
+            for j in range(y):
                 acc = 0
-                for t in range(4):
+                for t in range(k):
                     acc = f.add(acc, f.mul(a[i][t], b[t][j]))
                 assert int(got[i, j]) == acc
 
 
-def test_gf_matmul_float32_bound(monkeypatch):
-    """At the largest k the float32 guard admits, the all-(p-1) product is
-    exact; one more column takes the table loop and agrees."""
-    f = build_field(7, 1)
-    k = (2**24 - 1) // 36
-    assert k * 36 < 2**24 <= (k + 1) * 36
-    tables = []
-    real = f.np_tables
-    monkeypatch.setattr(f, "np_tables", lambda: tables.append(1) or real())
-    for width, path in [(k, []), (k + 1, [1])]:
-        a = np.full((2, width), 6, dtype=np.uint8)
-        b = np.full((width, 3), 6, dtype=np.uint8)
-        want = a.astype(np.int64) @ b.astype(np.int64) % 7
-        assert (want == width * 36 % 7).all()
-        got = gf_matmul(f, a, b)
-        assert got.dtype == np.uint8
-        assert (got == want).all()
-        assert tables == path
+def test_gf_matmul_float32_bound():
+    """Over GF(7) and GF(251) the inner dimension is summed in blocks of step
+    terms, reduced mod p between blocks.  At k = step the all-(p-1) sum
+    reaches the float32 limit; one more term, and two blocks and one, stay
+    exact.  Entries drawn from {p-2, p-1} give odd products whose unblocked
+    sum at 2 * step + 1 terms lies past 2**24, where float32 drops odd
+    integers."""
+    for p in (7, 251):
+        f = build_field(p, 1)
+        step = (2**24 - p) // (p - 1) ** 2
+        assert (p - 1) + step * (p - 1) ** 2 < 2**24 <= (p - 1) + (step + 1) * (p - 1) ** 2
+        rng = np.random.default_rng(p)
+        for width in (step, step + 1, 2 * step + 1):
+            for a, b in [
+                (np.full((2, width), p - 1), np.full((width, 3), p - 1)),
+                (rng.integers(p - 2, p, (2, width)), rng.integers(p - 2, p, (width, 3))),
+                (rng.integers(0, p, (2, width)), rng.integers(0, p, (width, 3))),
+            ]:
+                got = gf_matmul(f, a.astype(np.uint8), b.astype(np.uint8))
+                assert got.dtype == np.uint8
+                assert (got == a @ b % p).all()
 
 
 def primes_to(top):

@@ -335,8 +335,8 @@ def test_spectrum_against_macwilliams():
     assert macwilliams_dual_spectrum(primal, 3, c.n, c.k) == dual_counts
 
 
-# GF(2), GF(4), GF(5), GF(7), GF(8), GF(9), GF(49), GF(64): the mod-p,
-# float32 and table-gather paths of the syndrome product
+# GF(2), GF(4), GF(5), GF(7), GF(8), GF(9), GF(49), GF(64): the syndrome
+# product over prime fields and over the digits of extension fields
 MEMBER_FIELDS = [(2, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2), (2, 6)]
 
 
