@@ -11,7 +11,10 @@ way they are just a faster way to run the same integer computation.
 
 The MDS check and the support scans share one walk, dependent_supports, over
 the prefix tree of column subsets.  batch_rank does not choose the supports
-a scan probes: it cross-checks the ones the tree yields.
+a scan probes: it cross-checks the ones the tree yields.  On a code closed
+under a twisted shift the same walk can keep to one support per rotation
+orbit, the necklaces, and a scan then probes only those as long as its
+probes stay exhaustive.
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> n
     return upd
 
 
-def dependent_supports(field, mat: np.ndarray, size: int, chunk: int):
+def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces: bool = False):
     """Yield every dependent `size`-column subset of the (r, n) matrix, for
     1 <= size <= r, in lexicographic order: (m, size) arrays of sorted
     column indices, one per chunk of leaves that holds any.
@@ -234,22 +237,58 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int):
     are built in chunks of at most `chunk` (or the children of one node, if
     more), which bounds memory; the walk advances only as far as its
     consumer reads.
+
+    With necklaces=True the walk yields only the subsets that are their own
+    lexicographically least rotation mod n, still in lexicographic order.
+    Such a subset holds column 0, and its cyclic gap sequence (s1 - s0, ...,
+    n - s_last) is a necklace.  Each node carries the period p of its gap
+    prefix, as in the Fredricksen-Kessler-Maiorana algorithm: a child's gap
+    g_t below g_(t-p) is pruned, and one above it makes the period t.  A
+    necklace's gaps are at least its first one, so a child also needs room
+    for the rest of its gaps at that width.  A leaf is kept when its wrap
+    gap keeps the sequence a prenecklace whose period divides its length.
     """
     n = mat.shape[1]
     cols = np.arange(n)
 
-    def walk(j, pm, prefix):
+    def walk(j, pm, prefix, period):
         # child columns: after the last prefix column, and early enough to
         # leave room for the size - j - 1 columns still to come
         last = prefix[:, j - 1] if j else np.full(1, -1)
-        kids = cols > last[:, None]
-        kids &= cols <= n - size + j
+        low, high = last + 1, n - size + j
+        if necklaces and j:
+            # gaps[:, t] = g_t, with g_0 = 0; a child's gap g_j is at least
+            # g_(j-p), and the size - j gaps after it at least g_1 each
+            gaps = np.diff(prefix.astype(np.intp), axis=1, prepend=0)
+            ref = gaps[np.arange(len(prefix)), j - period]
+            low = last + np.maximum(ref, 1)
+            high = n // size if j == 1 else n - (size - j) * gaps[:, 1]
+        elif necklaces:
+            high = 0  # column 0 alone
+
+        def periods(node, col):
+            # a child's gap g_j above g_(j-p) makes its period j
+            if not j:
+                return np.ones_like(node)
+            return np.where(col - last[node] > ref[node], j, period[node])
+
+        kids = cols >= low[:, None]
+        kids &= cols <= np.reshape(high, (-1, 1))
         dead = pm.any(axis=1)
         np.logical_not(dead, out=dead)  # in place: the leaf level is the widest
         dead &= kids
         if j == size - 1:
-            if dead.any():
-                node, col = np.nonzero(dead)
+            if not dead.any():
+                return
+            node, col = np.nonzero(dead)
+            if necklaces and j:
+                # the wrap gap n - col, at position size, closes the sequence
+                per = periods(node, col)
+                seq = np.column_stack((gaps[node], col - last[node]))
+                wrap, at = n - col, seq[np.arange(len(node)), size - per]
+                keep = (wrap > at) | ((wrap == at) & (size % per == 0))
+                node, col = node[keep], col[keep]
+            if len(node):
                 yield np.column_stack((prefix[node], col))
             return
         fan = np.cumsum(kids.sum(axis=1))
@@ -260,11 +299,14 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int):
             node, col = np.nonzero(kids[start:stop])
             node += start
             if len(node):
-                kid_prefix = np.column_stack((prefix[node], col.astype(prefix.dtype)))
-                yield from walk(j + 1, _clear_column(field, pm, node, col), kid_prefix)
+                yield from walk(
+                    j + 1, _clear_column(field, pm, node, col),
+                    np.column_stack((prefix[node], col.astype(prefix.dtype))),
+                    periods(node, col) if necklaces else None,
+                )
             start = stop
 
-    yield from walk(0, mat[None], np.zeros((1, 0), dtype=np.min_scalar_type(n)))
+    yield from walk(0, mat[None], np.zeros((1, 0), dtype=np.min_scalar_type(n)), None)
 
 
 def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
@@ -409,7 +451,7 @@ def probe_support(field, parity_np, support, need_full, reject, seed, tag):
     return None, exhaustive
 
 
-def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
+def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None, rotations=False):
     """Scan all size-w supports, in lexicographic order, for a passing word.
 
     When w <= r (parity rows) only a support whose parity columns are
@@ -420,12 +462,22 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
     DENSE_SUPPORT_CAP probes are spent.  The probe of the support with
     lexicographic index i samples with tag (w << 32) | i.  Witnesses come
     back full length.
+
+    rotations=True says the code is closed under a twisted shift, which
+    maps the words on a support onto those on its rotation by one.  With no
+    reject hook, the supports that carry a passing word are then closed
+    under rotation, and for w <= r the scan first probes only the
+    necklaces, the supports that are their own least rotation.  The
+    lexicographically first passing support is one of them, so when every
+    probe before a witness was exhaustive that witness is the full scan's,
+    and a walk of exhaustive probes that finds none proves the level empty.
+    Otherwise (a sampled probe) the full tree is scanned after all.
     """
     r = len(parity_rows)
     parity_np = np_matrix(field, parity_rows, n)
 
-    def dependent():
-        for found in dependent_supports(field, parity_np, w, SCAN_CHUNK):
+    def dependent(necklaces):
+        for found in dependent_supports(field, parity_np, w, SCAN_CHUNK, necklaces):
             for lo in range(0, len(found), RANK_CHUNK):
                 part = found[lo:lo + RANK_CHUNK]
                 ranks = batch_rank(field, parity_np[:, part].transpose(1, 0, 2))
@@ -435,11 +487,6 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
                     raise Contradiction(f"support {bad} has independent parity columns")
                 for support in part.tolist():
                     yield lex_rank(n, support), support
-
-    if w <= r:
-        cap, supports = math.inf, dependent()
-    else:
-        cap, supports = DENSE_SUPPORT_CAP, enumerate(itertools.combinations(range(n), w))
 
     def fill(vec, support):
         full = [0] * n
@@ -452,18 +499,29 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
             return None
         return lambda vec: reject(fill(vec, support))
 
-    exhaustive = True
-    for counter, support in supports:
-        if counter >= cap:
-            return ScanOutcome(None, counter, False, False)
-        vec, exact = probe_support(
-            field, parity_np, support, need_full, local_reject(support),
-            seed, (w << 32) | counter,
-        )
-        if vec is not None:
-            return ScanOutcome(fill(vec, support), counter + 1, False, False)
-        exhaustive = exhaustive and exact
-    return ScanOutcome(None, math.comb(n, w), True, exhaustive)
+    def probe(supports, cap):
+        """The outcome over these supports, and whether every probe
+        before its end was exhaustive."""
+        exhaustive = True
+        for counter, support in supports:
+            if counter >= cap:
+                return ScanOutcome(None, counter, False, False), exhaustive
+            vec, exact = probe_support(
+                field, parity_np, support, need_full, local_reject(support),
+                seed, (w << 32) | counter,
+            )
+            if vec is not None:
+                return ScanOutcome(fill(vec, support), counter + 1, False, False), exhaustive
+            exhaustive = exhaustive and exact
+        return ScanOutcome(None, math.comb(n, w), True, exhaustive), exhaustive
+
+    if w > r:
+        return probe(enumerate(itertools.combinations(range(n), w)), DENSE_SUPPORT_CAP)[0]
+    if rotations and reject is None:
+        out, exhaustive = probe(dependent(True), math.inf)
+        if exhaustive:
+            return out
+    return probe(dependent(False), math.inf)[0]
 
 
 def level_gate(n: int, w: int, k: int, budget_support: int) -> bool:

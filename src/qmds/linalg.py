@@ -69,6 +69,24 @@ class LinearCode:
             raise LengthMismatch(f"vector length {len(vec)} != {self.n}")
         return not self.syndromes([vec]).any()
 
+    def shift_closed(self, a: int) -> bool:
+        """True when the twisted shift c -> (a*c[n-1], c[0], ..., c[n-2])
+        maps the code into itself: one syndrome product of the shifted
+        generator rows."""
+        mul = self.field.mul
+        return not self.syndromes([(mul(a, row[-1]),) + row[:-1] for row in self.gen]).any()
+
+    @cached_property
+    def twisted_shift(self) -> int | None:
+        """The first a in GF(q)*, by increasing discrete log, under whose
+        twisted shift the code is closed, or None (always for the zero
+        code).  Such a shift maps the words on a support onto words on its
+        rotation, which support scans use."""
+        if not self.k:
+            return None
+        units = self.field.exp_table[:self.field.q - 1]  # g**0, g**1, ...
+        return next((a for a in units if self.shift_closed(a)), None)
+
 
 def linear_code(field: FieldTable, rows, n: int | None = None) -> LinearCode:
     rows = [tuple(r) for r in rows]
@@ -314,6 +332,7 @@ class WordSearch:
         out = kernels.scan_level(
             code.field, code.parity_rows, code.n, w, budget.seed,
             need_full=need_full, reject=self.sub.contains if self.sub else None,
+            rotations=self.sub is None and code.twisted_shift is not None,
         )
         if out.witness is not None:
             self.record(out.witness)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
@@ -551,24 +552,25 @@ def _status_of(p: QuantumCodeParams) -> str:
     return "verified" if p.d_exact else "claimed"
 
 
-def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> list[tuple]:
-    """Achievability grid (q, d, n, status) behind the survey figures.
+def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
+    """Achievability grid (q, d, n, status) behind the survey figures, one
+    row at a time in (d, n) order.
 
     Alphabets above 8 are out of computed range and come back entirely
-    unknown.  Statuses: verified (exact distance computed here), claimed
-    (record derived without its own exact check), literature (imported or
-    derived from imported records), absent (this pipeline provably lacks the
+    unknown; those q * (q**2 + 1) or so rows are generated as they are read.
+    Statuses: verified (exact distance computed here), claimed (record
+    derived without its own exact check), literature (imported or derived
+    from imported records), absent (this pipeline provably lacks the
     length), unknown.
     """
     field_for_order(q)
     nmax = q * q + 2
     if q > 8:
-        return [
+        return (
             (q, d, n, "unknown")
             for d in range(2, q + 2)
             for n in range(2 * d - 2, nmax + 1)
-            if n >= 2
-        ]
+        )
     light = replace(
         budget, support=min(budget.support, 5 * 10**8), samples=min(budget.samples, 10**6)
     )
@@ -613,4 +615,4 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> list[tuple]:
         for s in range(1, rec.d - 1):
             child = shorten_params(rec, s)
             put(child.d, child.n, "literature")
-    return [(q, d, n, cells[(d, n)]) for (d, n) in sorted(cells)]
+    return ((q, d, n, cells[(d, n)]) for (d, n) in sorted(cells))

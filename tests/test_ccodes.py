@@ -109,6 +109,26 @@ def test_twisted_shift_closure_check_rejects_an_open_code(Q, d):
         _check_shift_closure(spec, code)
 
 
+@pytest.mark.parametrize("Q", [4, 5, 7, 8, 9, 16, 25])
+def test_twisted_shift_is_the_spec_shift_constant(Q):
+    f = field_for_order(Q)
+    for d in range(1, Q + 2):
+        spec = mds_spec(Q, d)
+        assert build_code(spec).twisted_shift == f.pow(f.generator, spec.shift_log), d
+
+
+def test_twisted_shift_of_open_and_zero_codes():
+    f = build_field(5, 1)
+    # rows e0 + e1 and e2, e3: the shift of e2 + e3 leaves the span
+    code = linear_code(f, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 2]], 6)
+    assert (code.n, code.k) == (6, 3)
+    assert not any(code.shift_closed(a) for a in range(1, 5))
+    assert code.twisted_shift is None
+    assert linear_code(f, [], 6).twisted_shift is None
+    # the whole space is closed under every twisted shift: the first is 1
+    assert linear_code(f, [[int(i == j) for j in range(6)] for i in range(6)]).twisted_shift == 1
+
+
 def test_beta_log_consistency_guard():
     fld = field_for_order(9)
     with pytest.raises(DescentFailure):

@@ -1,5 +1,6 @@
 """Exact numpy kernels: rref, ranks, enumeration, sampling, support scans."""
 
+import functools
 import itertools
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from qmds import kernels
 from qmds.budgets import SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP, SUBSCAN_SAMPLES
+from qmds.ccodes import mds_spec
 from qmds.errors import Contradiction
 from qmds.gf import _prime_power_parts, build_field, field_for_order
 from qmds.kernels import (
@@ -30,6 +32,7 @@ from qmds.kernels import (
     scan_level,
 )
 from qmds.linalg import WordSearch, linear_code
+from qmds.pcode import puncture_spectral
 
 import oracles
 
@@ -617,6 +620,118 @@ def test_scan_level_cross_checks_what_the_tree_yields(monkeypatch):
     )
     with pytest.raises(Contradiction):
         scan_level(F5, code.parity_rows, 6, 3, 0, need_full=False)
+
+
+@functools.lru_cache(maxsize=None)
+def spectral_pc(q, d):
+    return puncture_spectral(mds_spec(q * q, d)).base
+
+
+# the spectral P(C) of every (q, d) with q <= 4, and (5, 4) up to w = 8:
+# (q, d, highest level w <= r)
+ORBIT_CASES = [(q, d, None) for q in (2, 3, 4) for d in range(2, q + 2)] + [(5, 4, 8)]
+
+
+def orbit_levels():
+    for q, d, top in ORBIT_CASES:
+        code = spectral_pc(q, d)
+        r = len(code.parity_rows)
+        for w in range(1, min(r, top or r) + 1):
+            yield code, w
+
+
+def least_rotation(support, n):
+    return min(tuple(sorted((c - s) % n for c in support)) for s in support)
+
+
+@pytest.mark.parametrize("q,d,top", ORBIT_CASES, ids=str)
+def test_necklace_walk_yields_one_support_per_rotation_orbit(q, d, top):
+    code = spectral_pc(q, d)
+    assert code.twisted_shift is not None
+    f, n = code.field, code.n
+    parity = np_matrix(f, code.parity_rows, n)
+    for w in range(1, min(len(parity), top or n) + 1):
+        neck = []
+        for found in dependent_supports(f, parity, w, SCAN_CHUNK, necklaces=True):
+            neck += [tuple(s) for s in found.tolist()]
+        assert neck == sorted(neck), w
+        assert all(least_rotation(s, n) == s for s in neck), w
+        orbits = {tuple(sorted((c + t) % n for c in s)) for s in neck for t in range(n)}
+        assert orbits == set(tree_supports(f, parity, w, SCAN_CHUNK)), w
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_necklace_walk_on_a_zero_matrix_yields_every_least_rotation(n):
+    # every subset is dependent, so the walk yields every necklace
+    for w in range(1, n + 1):
+        zero = np.zeros((w, n), dtype=np.uint8)
+        want = sorted({least_rotation(s, n) for s in itertools.combinations(range(n), w)})
+        for chunk in (1, 7, SCAN_CHUNK):
+            got = []
+            for found in dependent_supports(F3, zero, w, chunk, necklaces=True):
+                got += [tuple(s) for s in found.tolist()]
+            assert got == want, (w, chunk)
+
+
+def orbit_scans(monkeypatch, reference, seed=11):
+    """Compare scan_level(..., rotations=True) with the reference scan on
+    every orbit level, both ways of need_full.  Returns how many scans the
+    necklace walk decided alone and how many fell back to the full tree."""
+    walks = []
+    walk = kernels.dependent_supports
+
+    def logged(*args):
+        walks.append(args[4])
+        return walk(*args)
+
+    monkeypatch.setattr(kernels, "dependent_supports", logged)
+    stood = fell = 0
+    for code, w in orbit_levels():
+        for need_full in (True, False):
+            args = (code.field, code.parity_rows, code.n, w, seed)
+            walks.clear()
+            got = scan_level(*args, need_full=need_full, rotations=True)
+            stood += walks == [True]
+            fell += walks == [True, False]
+            assert got == reference(code, *args, need_full=need_full), (code, w, need_full)
+    return stood, fell
+
+
+def test_orbit_scan_matches_the_full_scan(monkeypatch):
+    def reference(code, *args, need_full):
+        if code.field.q <= 4:
+            return oracles.scan_level(*args, need_full=need_full)
+        return scan_level(*args, need_full=need_full)
+
+    stood, fell = orbit_scans(monkeypatch, reference)
+    # every probe of these levels is exhaustive
+    assert stood and not fell
+
+
+def test_orbit_scan_falls_back_when_probes_sample(monkeypatch):
+    # every probe samples: only a witness on the first necklace probed stands
+    monkeypatch.setattr(kernels, "SUBSCAN_EXACT_CAP", 0)
+    stood, fell = orbit_scans(
+        monkeypatch, lambda code, *args, need_full: scan_level(*args, need_full=need_full)
+    )
+    assert stood and fell
+
+
+def test_orbit_scan_cross_checks_what_the_necklace_walk_yields(monkeypatch):
+    code = linear_code(F5, [[1, 0, 1, 2, 3, 4], [0, 1, 1, 1, 2, 3]], 6)
+    parity = np_matrix(F5, code.parity_rows, 6)
+    indep = next(
+        s for s in itertools.combinations(range(6), 3)
+        if s not in dependent_subsets(F5, parity, 3)
+    )
+    monkeypatch.setattr(
+        kernels, "dependent_supports",
+        lambda *args: iter([np.array([indep])] if args[4] else []),
+    )
+    out = scan_level(F5, code.parity_rows, 6, 3, 0, need_full=False)
+    assert out.witness is None and out.completed
+    with pytest.raises(Contradiction):
+        scan_level(F5, code.parity_rows, 6, 3, 0, need_full=False, rotations=True)
 
 
 def test_scan_level_dense_cap(monkeypatch):

@@ -1,5 +1,7 @@
 """Stabilizer parameter derivation, families, conjecture reports, registry."""
 
+import tracemalloc
+
 import pytest
 
 from qmds.errors import (
@@ -247,6 +249,20 @@ def test_figdata_grid_small():
 
 
 def test_figdata_out_of_range_alphabet():
-    rows = figdata(9)
+    rows = list(figdata(9))
     assert rows and all(status == "unknown" for _, _, _, status in rows)
     assert {d for _, d, _, _ in rows} == set(range(2, 11))
+
+
+def test_figdata_streams_out_of_range_grids():
+    # figdata 61 has 223,382 rows; read one at a time they stay in a few MB
+    tracemalloc.start()
+    try:
+        rows = 0
+        for _ in figdata(61):
+            rows += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == sum(61 * 61 + 2 - (2 * d - 2) + 1 for d in range(2, 63)) == 223_382
+    assert peak < 2 * 2**20
