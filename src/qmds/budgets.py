@@ -25,12 +25,19 @@ DENSE_SUPPORT_CAP = 50_000
 SUBSCAN_EXACT_CAP = 4096
 SUBSCAN_SAMPLES = 512
 
-# Fixed chunk sizes.  ENUM_CHUNK, RANK_CHUNK and SCAN_CHUNK are tuning
-# constants only: results never depend on them.  SAMPLE_CHUNK is not: the
-# sampler draws its Philox stream one chunk at a time, and one draw of 8192
-# messages yields other words than two draws of 4096, so SAMPLE_CHUNK fixes
-# which words every sampling pass sees.
+# Fixed chunk sizes.  ENUM_CHUNK, ENUM_LOW, ENUM_PAIRS, RANK_CHUNK and
+# SCAN_CHUNK are tuning constants only: results never depend on them.
+# SAMPLE_CHUNK is not: the sampler draws its Philox stream one chunk at a
+# time, and one draw of 8192 messages yields other words than two draws of
+# 4096, so SAMPLE_CHUNK fixes which words every sampling pass sees.
 ENUM_CHUNK = 4096
+# Enumeration counts weights by one float32 product per block of (high,
+# low) word pairs: at most ENUM_LOW low words per lead row and ENUM_PAIRS
+# pairs per product, with ENUM_CHUNK high words encoded at a time.  A low
+# block of 4096 doubles the traced memory peak of the `qmds 5 5`
+# enumeration (1.7 -> 3.4 MB) and makes it slower.
+ENUM_LOW = 1024
+ENUM_PAIRS = 2**15
 SAMPLE_CHUNK = 4096
 RANK_CHUNK = 16384
 # Prefix-tree children built per step of a support scan.  A scan's tree is

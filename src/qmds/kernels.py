@@ -8,6 +8,8 @@ elimination (rref, batch_rank and the prefix tree) goes through
 rank_one_update, the one place that picks its arithmetic: integers reduced
 mod p over a small prime field, per-field lookup tables otherwise.  Either
 way they are just a faster way to run the same integer computation.
+Enumeration counts weights by float32 products of one-hot matrices, whose
+entries are agreement counts at most n and need no reduction.
 
 The MDS check and the support scans share one walk, dependent_supports, over
 the prefix tree of column subsets.  batch_rank does not choose the supports
@@ -28,6 +30,8 @@ import numpy as np
 from .budgets import (
     DENSE_SUPPORT_CAP,
     ENUM_CHUNK,
+    ENUM_LOW,
+    ENUM_PAIRS,
     RANK_CHUNK,
     SAMPLE_CHUNK,
     SCAN_CHUNK,
@@ -339,6 +343,36 @@ def _counter_digits(start: int, cnt: int, ndigits: int, q: int) -> np.ndarray:
     return out
 
 
+def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int, high_cap: int):
+    """The visiting order of a projective enumeration of the rows of g, in
+    blocks: lead row index ascending, then the tail message as a base-q
+    counter, leading digit 1.
+
+    Yields one (low, highs) pair per lead row.  low holds the words of every
+    message over the last a rows of g in counter order, a the largest at
+    most the tail with q**a <= low_cap; highs yields the high words (the
+    lead row plus the middle rows, in counter order) in blocks of at most
+    high_cap.  The words of the row are h + l for h in the high words and l
+    in low, in row-major (h, l) order.
+    """
+    k = g.shape[0]
+    q = field.q
+    amax = 0
+    while q ** (amax + 1) <= low_cap:
+        amax += 1
+
+    def highs(lead, a):
+        nhigh = q ** (k - lead - 1 - a)
+        # counting from nhigh makes the leading digit 1: the lead row
+        for start in range(nhigh, 2 * nhigh, high_cap):
+            cnt = min(high_cap, 2 * nhigh - start)
+            yield gf_matmul(field, _counter_digits(start, cnt, k - lead - a, q), g[lead:k - a])
+
+    for lead in range(k if leads is None else leads):
+        a = min(k - lead - 1, amax)
+        yield gf_matmul(field, _counter_digits(0, q**a, a, q), g[k - a:]), highs(lead, a)
+
+
 def iter_projective_words(field, gen, chunk: int = ENUM_CHUNK, leads: int | None = None):
     """Yield word chunks covering every projective class of the row space.
 
@@ -350,35 +384,69 @@ def iter_projective_words(field, gen, chunk: int = ENUM_CHUNK, leads: int | None
     row space outside the span of the last k - e rows, one per projective
     class of the first e rows' coefficients.
 
-    Each word costs one field addition.  Per lead row the low block, every
-    message over the last a rows in counter order (q**a <= chunk), is
-    encoded once, and so are the high words: the lead row plus the middle
-    rows, leading digit 1.  Each chunk is one high word added to the whole
-    low block, one addition-table gather per coordinate.
+    Each word costs one field addition: each chunk is one high word of
+    _projective_blocks added to its whole low block (q**a <= chunk), one
+    addition-table gather per coordinate.
     """
     g = np.asarray(gen, dtype=np.uint8)
-    k, n = g.shape[0], g.shape[-1]
-    q = field.q
+    q, n = field.q, g.shape[-1]
     add = field.np_tables().add
-    amax = 0
-    while q ** (amax + 1) <= chunk:
-        amax += 1
-    for lead in range(k if leads is None else leads):
-        tail = k - lead - 1
-        a = min(tail, amax)
-        nhigh = q ** (tail - a)
-        # counting from q**(tail-a) makes the leading digit 1: the lead row
-        high = gf_matmul(field, _counter_digits(nhigh, nhigh, tail - a + 1, q), g[lead:k - a])
-        if not a:
-            for start in range(0, nhigh, chunk):
-                yield high[start:start + chunk]
+    for low, highs in _projective_blocks(field, g, leads, chunk, chunk):
+        if len(low) == 1:  # a = 0: the low block is the zero word
+            yield from highs
             continue
-        low = gf_matmul(field, _counter_digits(0, q**a, a, q), g[k - a:])
         # word h + low[i] at column c is add[h[c], low[i, c]]: entry
         # low[i, c] + q*c of the flattened (n, q) rows add[h]
         at = low + np.arange(0, q * n, q, dtype=np.intp)
-        for h in high:
-            yield add[h].ravel().take(at)
+        for high in highs:
+            for h in high:
+                yield add[h].ravel().take(at)
+
+
+def projective_weights(field, gen, leads: int | None = None, low_cap: int = ENUM_LOW,
+                       high_cap: int = ENUM_CHUNK, pairs: int = ENUM_PAIRS):
+    """Weight counts of the words iter_projective_words visits, and the
+    first word of each weight in its order, without building the words.
+
+    Returns (counts, first): counts[w] words of weight w, an int64 array of
+    length n + 1, and first a dict from each weight that occurs to its first
+    word, a uint8 array.
+
+    A word is h + l, h a high word and l a word of the low block of
+    _projective_blocks, and weight(h + l) = n - #{c : l_c = -h_c}.  That
+    agreement count is the product of two one-hot matrices over the n*q
+    (column, value) pairs: row i of the high side marks (c, -h_i[c]), row j
+    of the low side (c, l_j[c]).  One float32 product then gives the
+    weights of a whole block of (h, l) pairs, and it is exact, every entry
+    being an integer at most n < 2**24.  A block takes as many high words
+    as keep its pairs and its high one-hot entries within `pairs`, at least
+    one; only the first word of a new weight is built.
+    """
+    g = np.asarray(gen, dtype=np.uint8)
+    q, n = field.q, g.shape[-1]
+    t = field.np_tables()
+    cols = np.arange(0, q * n, q, dtype=np.intp)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    first = {}
+    for low, highs in _projective_blocks(field, g, leads, low_cap, high_cap):
+        nl = len(low)
+        onehot = np.zeros((nl, q * n), dtype=np.float32)
+        np.put_along_axis(onehot, low + cols, 1, axis=1)
+        rows = max(1, pairs // max(nl, q * n))
+        for high in highs:
+            at = t.neg[high] + cols
+            for lo in range(0, len(high), rows):
+                part = np.zeros((min(rows, len(high) - lo), q * n), dtype=np.float32)
+                np.put_along_axis(part, at[lo:lo + rows], 1, axis=1)
+                # agree[i, j] = n - weight(high[lo + i] + low[j])
+                agree = (part @ onehot.T).astype(np.intp).ravel()
+                seen = np.bincount(agree, minlength=n + 1)[::-1]
+                counts += seen
+                for w in np.flatnonzero(seen).tolist():
+                    if w not in first:
+                        i, j = divmod(int(np.argmax(agree == n - w)), nl)
+                        first[w] = t.add[high[lo + i], low[j]]
+    return counts, first
 
 
 def philox(seed: int, tag: int) -> np.random.Generator:

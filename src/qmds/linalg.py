@@ -309,11 +309,9 @@ class WordSearch:
         if self.exact_counts is not None:
             return
         f, n = self.code.field, self.code.n
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for words in kernels.iter_projective_words(f, self.rows, leads=self.leads):
-            weights = (words != 0).sum(axis=1)
-            counts += np.bincount(weights, minlength=n + 1)
-            self._record_found(weights, words)
+        counts, first = kernels.projective_weights(f, self.rows, leads=self.leads)
+        for w, word in first.items():
+            self.found.setdefault(w, tuple(word.tolist()))
         counts *= f.q - 1
         counts[0] = 1 if self.sub is None else 0  # zero lies in every subcode
         self.exact_counts = [int(c) for c in counts]
@@ -348,7 +346,10 @@ class WordSearch:
         for msgs, words in kernels.iter_sampled_words(
             self.code.field, self.rows, budget.samples, budget.seed, tag=tag
         ):
-            words = words[msgs[:, :self.leads].any(axis=1)]
+            if self.sub is not None:
+                # a word of the subcode has a zero lead message; without a
+                # subcode that is the zero word, which weight 0 ignores
+                words = words[msgs[:, :self.leads].any(axis=1)]
             self._record_found((words != 0).sum(axis=1), words)
             if stop in self.found:
                 return

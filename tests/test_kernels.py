@@ -28,6 +28,7 @@ from qmds.kernels import (
     philox,
     probe_support,
     projective_count,
+    projective_weights,
     rref,
     scan_level,
 )
@@ -439,6 +440,48 @@ def test_projective_words_match_scalar_encode_at_every_chunk(f, k):
             count = sum(per_lead[:leads])
             assert got.shape == (count, n)
             assert (got == want[:count]).all()
+
+
+def brute_outside(f, gen, leads):
+    """Weight counts of the words of the row space of gen outside the span
+    of its rows from `leads` on, one per projective class, by brute force."""
+    n = len(gen[0])
+    inside = set(oracles.all_codewords(linear_code(f, gen[leads:], n)))
+    counts = [0] * (n + 1)
+    for word in oracles.all_codewords(linear_code(f, gen, n)):
+        if word not in inside:
+            counts[sum(1 for x in word if x)] += 1
+    assert all(c % (f.q - 1) == 0 for c in counts)
+    return [c // (f.q - 1) for c in counts]
+
+
+# leads e is the relative case: the words outside the subcode spanned by
+# rows e and on.  low_cap 1 makes every tail row high (the low block is the
+# zero word), and low_cap q leaves one row to the low block; five or three
+# high words per block, two per product, put several high and product
+# blocks in a lead row
+@pytest.mark.parametrize("f", [F2, F3, F5, F7, F4, F8, F9, F25, F49, F64])
+@pytest.mark.parametrize("leads", [None, 1, 2])
+def test_projective_weights_match_scalar_enumeration(f, leads):
+    rng = random.Random(60 + f.q)
+    k, n = 4 if f.q <= 4 else 3 if f.q <= 9 else 2, 6
+    gen = None
+    while gen is None or len(rref(f, gen)[0]) < k:
+        gen = rand_mat(rng, f, k, n)
+    words, per_lead = scalar_projective_words(f, gen)
+    words = words[:sum(per_lead[:leads])]
+    weights = (words != 0).sum(axis=1)
+    first = {int(w): words[np.argmax(weights == w)].tolist() for w in np.unique(weights)}
+    want = brute_outside(f, gen, k if leads is None else leads)
+    q = f.q
+    if leads is None:
+        spectrum = oracles.brute_spectrum(linear_code(f, gen, n))
+        assert [c * (q - 1) for c in want[1:]] == spectrum[1:]
+    for blocks in [(1, 5, 2 * q * n), (q, 3, 2 * q * n), (1024, 4096, 2**15)]:
+        counts, got = projective_weights(f, gen, leads, *blocks)
+        assert counts.dtype == np.int64 and counts.tolist() == want
+        assert {w: word.tolist() for w, word in got.items()} == first
+        assert all(word.dtype == np.uint8 for word in got.values())
 
 
 @pytest.mark.parametrize("f,k,n", [(F4, 5, 7), (F9, 3, 6)], ids=["GF4", "GF9"])

@@ -18,7 +18,7 @@ from qmds.errors import (
 )
 from qmds.gf import build_field, field_for_order
 from qmds import pcode
-from qmds.linalg import dual, linear_code
+from qmds.linalg import WordSearch, dual, linear_code
 from qmds.pcode import (
     in_puncture_code,
     puncture_direct,
@@ -112,6 +112,20 @@ def test_enumerated_counts_match_brute_spectrum():
         else:
             assert res.verdict == "ProvenAbsent"
             assert counts[res.weight] == 0
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (4, 3), (4, 4)])
+def test_enumeration_and_macwilliams_of_the_dual_agree(q, d):
+    """Two exact routes to P(C)'s weight distribution: enumerating P(C),
+    and enumerating its Euclidean dual followed by MacWilliams."""
+    base = puncture_spectral(mds_spec(q * q, d)).base
+    other = dual(base)
+    direct, via_dual = WordSearch(base), WordSearch(other)
+    direct.enumerate()
+    via_dual.enumerate()
+    assert direct.exact_counts == oracles.macwilliams_dual_spectrum(
+        via_dual.exact_counts, q, base.n, other.k
+    )
 
 
 def test_weight_present_cache_and_bounds():
