@@ -25,19 +25,26 @@ DENSE_SUPPORT_CAP = 50_000
 SUBSCAN_EXACT_CAP = 4096
 SUBSCAN_SAMPLES = 512
 
-# Fixed chunk sizes.  ENUM_CHUNK, ENUM_LOW, ENUM_PAIRS, RANK_CHUNK and
-# SCAN_CHUNK are tuning constants only: results never depend on them.
-# SAMPLE_CHUNK is not: the sampler draws its Philox stream one chunk at a
-# time, and one draw of 8192 messages yields other words than two draws of
-# 4096, so SAMPLE_CHUNK fixes which words every sampling pass sees.
+# Fixed chunk sizes.  ENUM_CHUNK, ENUM_LOW, ENUM_BYTES, ENUM_PRODUCT_Q,
+# RANK_CHUNK and SCAN_CHUNK are tuning constants only: results never depend
+# on them.  SAMPLE_CHUNK is not: the sampler draws its Philox stream one
+# chunk at a time, and one draw of 8192 messages yields other words than two
+# draws of 4096, so SAMPLE_CHUNK fixes which words every sampling pass sees.
 ENUM_CHUNK = 4096
-# Enumeration counts weights by one float32 product per block of (high,
-# low) word pairs: at most ENUM_LOW low words per lead row and ENUM_PAIRS
-# pairs per product, with ENUM_CHUNK high words encoded at a time.  A low
-# block of 4096 doubles the traced memory peak of the `qmds 5 5`
-# enumeration (1.7 -> 3.4 MB) and makes it slower.
+# Enumeration counts weights block by block: ENUM_CHUNK high words are
+# encoded at a time, each lead row has at most ENUM_LOW low words, and one
+# count takes as many high words as keep its largest array within
+# ENUM_BYTES.  A low block of 4096 doubles the traced memory peak of the
+# `qmds 5 5` enumeration (1.7 -> 3.4 MB) and makes it slower.  Over fields
+# up to ENUM_PRODUCT_Q a count is one float32 product of one-hot matrices,
+# q*n multiply-adds a pair, whose low side takes at most 16 KB per
+# coordinate; above it, n byte comparisons a pair.  On one core the product
+# is 10-35% faster than the comparisons on the P(C) of `qmds 5 5` and of
+# (4,3) and on the (7,4) and (8,4) duals; the comparisons are faster from
+# GF(9) on: 1.6 times at q = 9, 4 at q = 32, 90 over GF(256).
 ENUM_LOW = 1024
-ENUM_PAIRS = 2**15
+ENUM_BYTES = 2**17
+ENUM_PRODUCT_Q = 8
 SAMPLE_CHUNK = 4096
 RANK_CHUNK = 16384
 # Prefix-tree children built per step of a support scan.  A scan's tree is

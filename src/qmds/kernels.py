@@ -8,8 +8,8 @@ elimination (rref, batch_rank and the prefix tree) goes through
 rank_one_update, the one place that picks its arithmetic: integers reduced
 mod p over a small prime field, per-field lookup tables otherwise.  Either
 way they are just a faster way to run the same integer computation.
-Enumeration counts weights by float32 products of one-hot matrices, whose
-entries are agreement counts at most n and need no reduction.
+Enumeration over small fields counts weights by float32 products of one-hot
+matrices, whose entries are agreement counts at most n and need no reduction.
 
 The MDS check and the support scans share one walk, dependent_supports, over
 the prefix tree of column subsets.  batch_rank does not choose the supports
@@ -30,8 +30,9 @@ import numpy as np
 from .budgets import (
     DENSE_SUPPORT_CAP,
     ENUM_CHUNK,
+    ENUM_BYTES,
     ENUM_LOW,
-    ENUM_PAIRS,
+    ENUM_PRODUCT_Q,
     RANK_CHUNK,
     SAMPLE_CHUNK,
     SCAN_CHUNK,
@@ -403,8 +404,7 @@ def iter_projective_words(field, gen, chunk: int = ENUM_CHUNK, leads: int | None
                 yield add[h].ravel().take(at)
 
 
-def projective_weights(field, gen, leads: int | None = None, low_cap: int = ENUM_LOW,
-                       high_cap: int = ENUM_CHUNK, pairs: int = ENUM_PAIRS):
+def projective_weights(field, gen, leads: int | None = None):
     """Weight counts of the words iter_projective_words visits, and the
     first word of each weight in its order, without building the words.
 
@@ -413,33 +413,47 @@ def projective_weights(field, gen, leads: int | None = None, low_cap: int = ENUM
     word, a uint8 array.
 
     A word is h + l, h a high word and l a word of the low block of
-    _projective_blocks, and weight(h + l) = n - #{c : l_c = -h_c}.  That
-    agreement count is the product of two one-hot matrices over the n*q
-    (column, value) pairs: row i of the high side marks (c, -h_i[c]), row j
-    of the low side (c, l_j[c]).  One float32 product then gives the
-    weights of a whole block of (h, l) pairs, and it is exact, every entry
-    being an integer at most n < 2**24.  A block takes as many high words
-    as keep its pairs and its high one-hot entries within `pairs`, at least
-    one; only the first word of a new weight is built.
+    _projective_blocks, and weight(h + l) = n - #{c : l_c = -h_c}.  Over
+    fields up to ENUM_PRODUCT_Q that agreement count is the product of two
+    one-hot matrices over the n*q (column, value) pairs: row i of the high
+    side marks (c, -h_i[c]), row j of the low side (c, l_j[c]).  One
+    float32 product then gives the agreements of a whole block of (h, l)
+    pairs, and it is exact, every entry being an integer at most n < 2**24.
+    The product spends q*n multiply-adds on a pair, so over larger fields
+    the count compares each column of the high words with the same column
+    of the low block instead and sums the n boolean tables, n byte
+    comparisons a pair.  A block takes as many high words as keep its
+    largest array within ENUM_BYTES bytes, at least one; only the first
+    word of a new weight is built.
     """
     g = np.asarray(gen, dtype=np.uint8)
     q, n = field.q, g.shape[-1]
     t = field.np_tables()
+    product = q <= ENUM_PRODUCT_Q
+    count_t = np.min_scalar_type(n)  # an agreement count is at most n
     cols = np.arange(0, q * n, q, dtype=np.intp)
     counts = np.zeros(n + 1, dtype=np.int64)
     first = {}
-    for low, highs in _projective_blocks(field, g, leads, low_cap, high_cap):
+    for low, highs in _projective_blocks(field, g, leads, ENUM_LOW, ENUM_CHUNK):
         nl = len(low)
-        onehot = np.zeros((nl, q * n), dtype=np.float32)
-        np.put_along_axis(onehot, low + cols, 1, axis=1)
-        rows = max(1, pairs // max(nl, q * n))
+        if product:
+            onehot = np.zeros((nl, q * n), dtype=np.float32)
+            np.put_along_axis(onehot, low + cols, 1, axis=1)
+            rows = max(1, ENUM_BYTES // (4 * max(nl, q * n)))
+        else:
+            low_cols = np.ascontiguousarray(low.T)[:, None, :]
+            rows = max(1, ENUM_BYTES // (nl * n))
         for high in highs:
-            at = t.neg[high] + cols
+            neg = t.neg[high]
             for lo in range(0, len(high), rows):
-                part = np.zeros((min(rows, len(high) - lo), q * n), dtype=np.float32)
-                np.put_along_axis(part, at[lo:lo + rows], 1, axis=1)
+                block = neg[lo:lo + rows]
                 # agree[i, j] = n - weight(high[lo + i] + low[j])
-                agree = (part @ onehot.T).astype(np.intp).ravel()
+                if product:
+                    part = np.zeros((len(block), q * n), dtype=np.float32)
+                    np.put_along_axis(part, block + cols, 1, axis=1)
+                    agree = (part @ onehot.T).astype(count_t).ravel()
+                else:
+                    agree = (block.T[:, :, None] == low_cols).sum(axis=0, dtype=count_t).ravel()
                 seen = np.bincount(agree, minlength=n + 1)[::-1]
                 counts += seen
                 for w in np.flatnonzero(seen).tolist():

@@ -456,13 +456,14 @@ def brute_outside(f, gen, leads):
 
 
 # leads e is the relative case: the words outside the subcode spanned by
-# rows e and on.  low_cap 1 makes every tail row high (the low block is the
-# zero word), and low_cap q leaves one row to the low block; five or three
-# high words per block, two per product, put several high and product
-# blocks in a lead row
+# rows e and on.  ENUM_LOW 1 makes every tail row high (the low block is the
+# zero word), and ENUM_LOW q leaves one row to the low block; five or three
+# high words encoded at a time, one or two per count, put several high
+# blocks and counts in a lead row.  ENUM_PRODUCT_Q 256 and 0 send every
+# field through the one-hot product and through the byte comparison.
 @pytest.mark.parametrize("f", [F2, F3, F5, F7, F4, F8, F9, F25, F49, F64])
 @pytest.mark.parametrize("leads", [None, 1, 2])
-def test_projective_weights_match_scalar_enumeration(f, leads):
+def test_projective_weights_match_scalar_enumeration(monkeypatch, f, leads):
     rng = random.Random(60 + f.q)
     k, n = 4 if f.q <= 4 else 3 if f.q <= 9 else 2, 6
     gen = None
@@ -477,11 +478,16 @@ def test_projective_weights_match_scalar_enumeration(f, leads):
     if leads is None:
         spectrum = oracles.brute_spectrum(linear_code(f, gen, n))
         assert [c * (q - 1) for c in want[1:]] == spectrum[1:]
-    for blocks in [(1, 5, 2 * q * n), (q, 3, 2 * q * n), (1024, 4096, 2**15)]:
-        counts, got = projective_weights(f, gen, leads, *blocks)
-        assert counts.dtype == np.int64 and counts.tolist() == want
-        assert {w: word.tolist() for w, word in got.items()} == first
-        assert all(word.dtype == np.uint8 for word in got.values())
+    for product_q in (256, 0):
+        for low, chunk, nbytes in [(1, 5, 1), (q, 3, 2 * q * n), (1024, 4096, 2**17)]:
+            monkeypatch.setattr(kernels, "ENUM_PRODUCT_Q", product_q)
+            monkeypatch.setattr(kernels, "ENUM_LOW", low)
+            monkeypatch.setattr(kernels, "ENUM_CHUNK", chunk)
+            monkeypatch.setattr(kernels, "ENUM_BYTES", nbytes)
+            counts, got = projective_weights(f, gen, leads)
+            assert counts.dtype == np.int64 and counts.tolist() == want
+            assert {w: word.tolist() for w, word in got.items()} == first
+            assert all(word.dtype == np.uint8 for word in got.values())
 
 
 @pytest.mark.parametrize("f,k,n", [(F4, 5, 7), (F9, 3, 6)], ids=["GF4", "GF9"])
