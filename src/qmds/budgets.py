@@ -32,7 +32,8 @@ SUBSCAN_SAMPLES = 512
 # draws of 4096, so SAMPLE_CHUNK fixes which words every sampling pass sees.
 ENUM_CHUNK = 4096
 # Enumeration counts weights block by block: ENUM_CHUNK high words are
-# encoded at a time, each lead row has at most ENUM_LOW low words, and one
+# encoded at a time (a support probe's words are such high blocks, with no
+# low words), each lead row has at most ENUM_LOW low words, and one
 # count takes as many high words as keep its largest array within
 # ENUM_BYTES.  A low block of 4096 doubles the traced memory peak of the
 # `qmds 5 5` enumeration (1.7 -> 3.4 MB) and makes it slower.  Over fields

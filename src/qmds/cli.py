@@ -12,7 +12,7 @@ import sys
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .ccodes import bch_ht_bound, build_code, mds_spec, spec_to_dict
-from .errors import Contradiction, NotKnown, QmdsError
+from .errors import Contradiction, NotKnown, QmdsError, TooLarge
 from .gf import build_field, field_for_order
 from .linalg import dual, mds_verify
 from .pcode import (
@@ -71,21 +71,22 @@ def _budget(args) -> SearchBudget:
 
 
 class _Out:
-    """Collects output lines so --output can mirror stdout exactly."""
+    """Holds the output lines, each with its newline, until the command
+    returns, so a command that raises prints nothing, and --output mirrors
+    stdout exactly."""
 
     def __init__(self, path: str | None):
         self.path = path
         self.lines: list[str] = []
 
     def emit(self, text: str) -> None:
-        self.lines.append(text)
+        self.lines.append(text + "\n")
 
     def close(self) -> None:
-        payload = "\n".join(self.lines) + ("\n" if self.lines else "")
-        sys.stdout.write(payload)
+        sys.stdout.writelines(self.lines)
         if self.path:
             with open(self.path, "w") as handle:
-                handle.write(payload)
+                handle.writelines(self.lines)
 
 
 def _witness_from_word(q, d, n, word, seed):
@@ -154,7 +155,7 @@ def cmd_mds(args, out) -> int:
     code = build_code(spec)
     try:
         verified = mds_verify(code)
-    except ValueError:
+    except TooLarge:
         verified = None
     out.emit(
         _canonical(

@@ -16,7 +16,10 @@ the prefix tree of column subsets.  batch_rank does not choose the supports
 a scan probes: it cross-checks the ones the tree yields.  On a code closed
 under a twisted shift the same walk can keep to one support per rotation
 orbit, the necklaces, and a scan then probes only those as long as its
-probes stay exhaustive.
+probes stay exhaustive.  A probe visits the words on its support in the
+enumeration's order, the high blocks of _projective_blocks, and a relative
+scan takes its subcode as parity rows: one syndrome product per chunk
+against their columns on the support drops the subcode's words.
 """
 
 from __future__ import annotations
@@ -344,7 +347,7 @@ def _counter_digits(start: int, cnt: int, ndigits: int, q: int) -> np.ndarray:
     return out
 
 
-def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int, high_cap: int):
+def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int):
     """The visiting order of a projective enumeration of the rows of g, in
     blocks: lead row index ascending, then the tail message as a base-q
     counter, leading digit 1.
@@ -353,8 +356,8 @@ def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int, hi
     message over the last a rows of g in counter order, a the largest at
     most the tail with q**a <= low_cap; highs yields the high words (the
     lead row plus the middle rows, in counter order) in blocks of at most
-    high_cap.  The words of the row are h + l for h in the high words and l
-    in low, in row-major (h, l) order.
+    ENUM_CHUNK.  The words of the row are h + l for h in the high words and
+    l in low, in row-major (h, l) order.
     """
     k = g.shape[0]
     q = field.q
@@ -365,8 +368,8 @@ def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int, hi
     def highs(lead, a):
         nhigh = q ** (k - lead - 1 - a)
         # counting from nhigh makes the leading digit 1: the lead row
-        for start in range(nhigh, 2 * nhigh, high_cap):
-            cnt = min(high_cap, 2 * nhigh - start)
+        for start in range(nhigh, 2 * nhigh, ENUM_CHUNK):
+            cnt = min(ENUM_CHUNK, 2 * nhigh - start)
             yield gf_matmul(field, _counter_digits(start, cnt, k - lead - a, q), g[lead:k - a])
 
     for lead in range(k if leads is None else leads):
@@ -374,34 +377,18 @@ def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int, hi
         yield gf_matmul(field, _counter_digits(0, q**a, a, q), g[k - a:]), highs(lead, a)
 
 
-def iter_projective_words(field, gen, chunk: int = ENUM_CHUNK, leads: int | None = None):
+def iter_projective_words(field, gen):
     """Yield word chunks covering every projective class of the row space.
 
     The visiting order is fixed: lead row index ascending, then the tail
-    message as a base-q counter.  Witness extraction that takes the first
-    hit in this order is therefore deterministic.
-
-    With leads=e only the first e rows lead, so the words are those of the
-    row space outside the span of the last k - e rows, one per projective
-    class of the first e rows' coefficients.
-
-    Each word costs one field addition: each chunk is one high word of
-    _projective_blocks added to its whole low block (q**a <= chunk), one
-    addition-table gather per coordinate.
+    message as a base-q counter, the enumeration's order.  Witness
+    extraction that takes the first hit in this order is therefore
+    deterministic.  The chunks are the high blocks of _projective_blocks
+    with an empty low block: each is one product of at most ENUM_CHUNK
+    messages that share a lead row.
     """
-    g = np.asarray(gen, dtype=np.uint8)
-    q, n = field.q, g.shape[-1]
-    add = field.np_tables().add
-    for low, highs in _projective_blocks(field, g, leads, chunk, chunk):
-        if len(low) == 1:  # a = 0: the low block is the zero word
-            yield from highs
-            continue
-        # word h + low[i] at column c is add[h[c], low[i, c]]: entry
-        # low[i, c] + q*c of the flattened (n, q) rows add[h]
-        at = low + np.arange(0, q * n, q, dtype=np.intp)
-        for high in highs:
-            for h in high:
-                yield add[h].ravel().take(at)
+    for _, highs in _projective_blocks(field, np.asarray(gen, dtype=np.uint8), None, 1):
+        yield from highs
 
 
 def projective_weights(field, gen, leads: int | None = None):
@@ -434,7 +421,7 @@ def projective_weights(field, gen, leads: int | None = None):
     cols = np.arange(0, q * n, q, dtype=np.intp)
     counts = np.zeros(n + 1, dtype=np.int64)
     first = {}
-    for low, highs in _projective_blocks(field, g, leads, ENUM_LOW, ENUM_CHUNK):
+    for low, highs in _projective_blocks(field, g, leads, ENUM_LOW):
         nl = len(low)
         if product:
             onehot = np.zeros((nl, q * n), dtype=np.float32)
@@ -468,13 +455,13 @@ def philox(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def iter_sampled_words(field, gen, count: int, seed: int, tag: int = 0x5A):
+def iter_sampled_words(field, gen, count: int, seed: int, tag: int):
     """Yield (msgs, words) chunks from a deterministic Philox stream.
 
     The stream depends on (seed, tag, count) only; chunk size is a fixed
     constant so partitioning hints can never change what gets drawn.
     """
-    g = np.array([list(r) for r in gen], dtype=np.uint8)
+    g = np.asarray(gen, dtype=np.uint8)
     k = g.shape[0]
     q = field.q
     rng = philox(seed, tag)
@@ -496,45 +483,54 @@ class ScanOutcome:
     exhaustive: bool
 
 
-def _first_passing(words: np.ndarray, need_full: bool, reject):
+def _first_passing(field, words: np.ndarray, need_full: bool, sub_cols):
+    """The first row of words, as a tuple, that is nonzero, of full weight
+    if need_full, and outside the subcode whose parity columns on the
+    support are sub_cols (None: no subcode); None when no row passes."""
     mask = words.any(axis=1)
     if need_full:
         mask &= (words != 0).all(axis=1)
-    if not mask.any():
-        return None
-    for i in np.nonzero(mask)[0]:
-        vec = tuple(int(x) for x in words[i])
-        if reject is None or not reject(vec):
-            return vec
-    return None
+    rows = np.flatnonzero(mask)
+    if sub_cols is not None and len(rows):
+        # a word on the support lies in the subcode exactly when its
+        # syndrome against the subcode's parity columns there is zero
+        rows = rows[gf_matmul(field, words[rows], sub_cols).any(axis=1)]
+    return tuple(words[rows[0]].tolist()) if len(rows) else None
 
 
-def probe_support(field, parity_np, support, need_full, reject, seed, tag):
+def probe_support(field, parity_np, support, need_full, sub_np, seed, tag):
     """Hunt a passing word among code words supported inside one support.
 
+    A word passes when it is nonzero, of full weight if need_full, and
+    outside the subcode with parity matrix sub_np (None: no subcode), one
+    syndrome product per chunk against sub_np's columns on the support.
     Returns (support-local vector | None, exhaustive).  Exhaustive means
-    every projective candidate on this support was checked; otherwise
-    SUBSCAN_SAMPLES messages are drawn with iter_sampled_words.
+    every projective candidate on this support was checked, in the
+    enumeration's order (iter_projective_words); otherwise SUBSCAN_SAMPLES
+    messages are drawn with iter_sampled_words.
     """
-    w = len(support)
-    basis = null_space(field, parity_np[:, list(support)], w)
+    cols = list(support)
+    basis = null_space(field, parity_np[:, cols], len(cols))
     if not basis:
         return None, True
+    sub_cols = None if sub_np is None else sub_np[:, cols].T
     exhaustive = projective_count(field.q, len(basis)) <= SUBSCAN_EXACT_CAP
     if exhaustive:
         chunks = iter_projective_words(field, basis)
     else:
-        sampled = iter_sampled_words(field, basis, SUBSCAN_SAMPLES, seed, tag=tag)
+        sampled = iter_sampled_words(field, basis, SUBSCAN_SAMPLES, seed, tag)
         chunks = (words for _, words in sampled)
     for words in chunks:
-        hit = _first_passing(words, need_full, reject)
+        hit = _first_passing(field, words, need_full, sub_cols)
         if hit is not None:
             return hit, exhaustive
     return None, exhaustive
 
 
-def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None, rotations=False):
-    """Scan all size-w supports, in lexicographic order, for a passing word.
+def scan_level(field, parity_rows, n, w, seed, *, need_full, sub_rows=None, rotations=False):
+    """Scan all size-w supports, in lexicographic order, for a passing word:
+    a nonzero code word inside the support, of weight w if need_full, and
+    outside the subcode with parity rows sub_rows, when those are given.
 
     When w <= r (parity rows) only a support whose parity columns are
     dependent carries a word, and dependent_supports finds exactly those on
@@ -547,16 +543,17 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None, rotati
 
     rotations=True says the code is closed under a twisted shift, which
     maps the words on a support onto those on its rotation by one.  With no
-    reject hook, the supports that carry a passing word are then closed
-    under rotation, and for w <= r the scan first probes only the
-    necklaces, the supports that are their own least rotation.  The
-    lexicographically first passing support is one of them, so when every
-    probe before a witness was exhaustive that witness is the full scan's,
-    and a walk of exhaustive probes that finds none proves the level empty.
-    Otherwise (a sampled probe) the full tree is scanned after all.
+    subcode, the supports that carry a passing word are then closed under
+    rotation, and for w <= r the scan first probes only the necklaces, the
+    supports that are their own least rotation.  The lexicographically
+    first passing support is one of them, so when every probe before a
+    witness was exhaustive that witness is the full scan's, and a walk of
+    exhaustive probes that finds none proves the level empty.  Otherwise (a
+    sampled probe) the full tree is scanned after all.
     """
     r = len(parity_rows)
     parity_np = np_matrix(field, parity_rows, n)
+    sub_np = None if sub_rows is None else np_matrix(field, sub_rows, n)
 
     def dependent(necklaces):
         for found in dependent_supports(field, parity_np, w, SCAN_CHUNK, necklaces):
@@ -570,17 +567,6 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None, rotati
                 for support in part.tolist():
                     yield lex_rank(n, support), support
 
-    def fill(vec, support):
-        full = [0] * n
-        for pos, val in zip(support, vec):
-            full[pos] = val
-        return tuple(full)
-
-    def local_reject(support):
-        if reject is None:
-            return None
-        return lambda vec: reject(fill(vec, support))
-
     def probe(supports, cap):
         """The outcome over these supports, and whether every probe
         before its end was exhaustive."""
@@ -589,17 +575,19 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None, rotati
             if counter >= cap:
                 return ScanOutcome(None, counter, False, False), exhaustive
             vec, exact = probe_support(
-                field, parity_np, support, need_full, local_reject(support),
-                seed, (w << 32) | counter,
+                field, parity_np, support, need_full, sub_np, seed, (w << 32) | counter,
             )
             if vec is not None:
-                return ScanOutcome(fill(vec, support), counter + 1, False, False), exhaustive
+                full = [0] * n
+                for pos, val in zip(support, vec):
+                    full[pos] = val
+                return ScanOutcome(tuple(full), counter + 1, False, False), exhaustive
             exhaustive = exhaustive and exact
         return ScanOutcome(None, math.comb(n, w), True, exhaustive), exhaustive
 
     if w > r:
         return probe(enumerate(itertools.combinations(range(n), w)), DENSE_SUPPORT_CAP)[0]
-    if rotations and reject is None:
+    if rotations and sub_rows is None:
         out, exhaustive = probe(dependent(True), math.inf)
         if exhaustive:
             return out

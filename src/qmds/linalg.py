@@ -26,6 +26,7 @@ from .errors import (
     NotASubcode,
     NotQuadraticTower,
     QmdsError,
+    TooLarge,
     ZeroDimensional,
 )
 from .gf import FieldTable, SubfieldEmbedding, build_field, conjugate, embed
@@ -198,8 +199,8 @@ def mds_verify(code: LinearCode) -> bool:
 
     Demands that every column subset on the cheaper side (k-subsets of the
     generator or (n-k)-subsets of the parity matrix) is independent, by the
-    prefix-tree walk of kernels.independent_subsets.  Refuses subset counts
-    above MDS_SUBSET_CAP.
+    prefix-tree walk of kernels.independent_subsets.  Raises TooLarge when
+    the subsets number more than MDS_SUBSET_CAP.
     """
     n, k = code.n, code.k
     if k == 0 or k == n:
@@ -207,7 +208,7 @@ def mds_verify(code: LinearCode) -> bool:
     side_k = min(k, n - k)
     count = math.comb(n, side_k)
     if count > MDS_SUBSET_CAP:
-        raise ValueError(
+        raise TooLarge(
             f"MDS check needs {count} subsets, above the {MDS_SUBSET_CAP} cap"
         )
     if k <= n - k:
@@ -329,7 +330,7 @@ class WordSearch:
             return None
         out = kernels.scan_level(
             code.field, code.parity_rows, code.n, w, budget.seed,
-            need_full=need_full, reject=self.sub.contains if self.sub else None,
+            need_full=need_full, sub_rows=self.sub.parity_rows if self.sub else None,
             rotations=self.sub is None and code.twisted_shift is not None,
         )
         if out.witness is not None:

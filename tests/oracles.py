@@ -239,14 +239,16 @@ def smallest_log_root(small, big):
     return None
 
 
-def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
+def scan_level(field, parity_rows, n, w, seed, *, need_full, sub_rows=None):
     """kernels.scan_level by ranking every support: for w <= r (parity
     rows), one batch_rank of each size-w support in itertools.combinations
     order keeps those of rank below w; above r every support is kept, up to
     DENSE_SUPPORT_CAP probes.  The kept supports get the package's probe
-    with the same tags, so only the choice of supports is checked here."""
+    with the same tags and subcode, so only the choice of supports is
+    checked here."""
     r = len(parity_rows)
     parity = kernels.np_matrix(field, parity_rows, n)
+    sub = None if sub_rows is None else kernels.np_matrix(field, sub_rows, n)
     combos = list(itertools.combinations(range(n), w))
     if w <= r and combos:
         stacks = np.moveaxis(parity[:, np.array(combos, dtype=np.intp)], 1, 0)
@@ -254,26 +256,19 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, reject=None):
     else:
         keep = [True] * len(combos)
     cap = kernels.DENSE_SUPPORT_CAP if w > r else math.inf
-
-    def fill(vec, support):
-        full = [0] * n
-        for pos, val in zip(support, vec):
-            full[pos] = val
-        return tuple(full)
-
     exhaustive = True
     for i, (support, dependent) in enumerate(zip(combos, keep)):
         if not dependent:
             continue
         if i >= cap:
             return kernels.ScanOutcome(None, i, False, False)
-        local = None
-        if reject is not None:
-            local = lambda vec, s=support: reject(fill(vec, s))
         vec, exact = kernels.probe_support(
-            field, parity, support, need_full, local, seed, (w << 32) | i
+            field, parity, support, need_full, sub, seed, (w << 32) | i
         )
         if vec is not None:
-            return kernels.ScanOutcome(fill(vec, support), i + 1, False, False)
+            full = [0] * n
+            for pos, val in zip(support, vec):
+                full[pos] = val
+            return kernels.ScanOutcome(tuple(full), i + 1, False, False)
         exhaustive = exhaustive and exact
     return kernels.ScanOutcome(None, len(combos), True, exhaustive)

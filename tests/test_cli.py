@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmds
+from qmds.ccodes import build_code, mds_spec
 from qmds.cli import main
+from qmds.errors import TooLarge
 from qmds.gf import MAX_FIELD_ORDER
+from qmds.linalg import mds_verify
 
 
 def run(capsys, *argv):
@@ -48,6 +51,17 @@ def test_mds_command(capsys):
     assert payload["n"] == 10 and payload["k"] == 8
     assert payload["bch_bound"] == 3 and payload["mds_verify"] is True
     assert payload["spec"]["defining_set"] == [0, 1]
+
+
+def test_mds_over_the_subset_cap_is_refused(capsys):
+    # [129, 125] over GF(128): C(129, 4) column subsets exceed MDS_SUBSET_CAP,
+    # so the check is refused (null), not failed, and the command succeeds
+    status, payload = run_json(capsys, "mds", "128", "5")
+    assert status == 0
+    assert payload["n"] == 129 and payload["k"] == 125
+    assert payload["mds_verify"] is None
+    with pytest.raises(TooLarge):
+        mds_verify(build_code(mds_spec(128, 5)))
 
 
 def test_pc_routes_agree(capsys):

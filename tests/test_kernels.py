@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -367,7 +368,8 @@ def test_lex_rank_is_the_combinations_index():
 
 
 @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 3), (9, 2)])
-def test_projective_iteration_covers_every_class_once(q, k):
+def test_projective_iteration_covers_every_class_once(monkeypatch, q, k):
+    monkeypatch.setattr(kernels, "ENUM_CHUNK", 5)
     f = build_field(2, 2) if q == 4 else build_field(3, 2) if q == 9 else build_field(q, 1)
     rng = random.Random(q * 10 + k)
     n = k + 2
@@ -375,7 +377,7 @@ def test_projective_iteration_covers_every_class_once(q, k):
     while code is None or code.k != k:
         code = linear_code(f, rand_mat(rng, f, k, n), n)
     seen = []
-    for chunk in iter_projective_words(f, code.gen, chunk=5):
+    for chunk in iter_projective_words(f, code.gen):
         seen.extend(tuple(int(x) for x in w) for w in chunk)
     assert len(seen) == len(set(seen)) == projective_count(q, k)
     scaled = {tuple(0 for _ in range(n))}
@@ -385,23 +387,20 @@ def test_projective_iteration_covers_every_class_once(q, k):
     assert scaled == {tuple(w) for w in oracles.all_codewords(code)}
 
 
+# the words of the first `leads` lead rows, those a relative enumeration
+# visits, are a prefix of the order made of whole chunks
 @pytest.mark.parametrize("f", [F2, F3, F5, F7, F4, F9, F8, F25, F49, F64])
 @pytest.mark.parametrize("leads", [None, 1, 2])
-def test_projective_words_follow_scalar_encode_order(f, leads):
+def test_projective_words_follow_scalar_encode_order(monkeypatch, f, leads):
     rng = random.Random(50 + f.q)
     k, n = 4 if f.q <= 4 else 3, 6
     gen = rand_mat(rng, f, k, n)
-    want = []
-    for lead in range(k if leads is None else leads):
-        tail = k - lead - 1
-        for counter in range(f.q**tail):
-            msg = [0] * lead + [1] + base_q_digits(counter, tail, f.q)
-            want.append(scalar_encode(f, msg, gen))
+    want, per_lead = scalar_projective_words(f, gen)
     for chunk in (7, 4096):
-        got = [tuple(int(x) for x in w)
-               for words in iter_projective_words(f, gen, chunk=chunk, leads=leads)
-               for w in words]
-        assert got == want
+        monkeypatch.setattr(kernels, "ENUM_CHUNK", chunk)
+        chunks = list(iter_projective_words(f, gen))
+        assert (np.vstack(chunks) == want).all()
+        assert sum(per_lead[:leads]) in np.cumsum([len(c) for c in chunks])
 
 
 def scalar_projective_words(f, gen):
@@ -418,7 +417,7 @@ def scalar_projective_words(f, gen):
     return np.array(words, dtype=np.uint8), per_lead
 
 
-# k = 8 over GF(2) and GF(3) puts several high words in one lead row at every
+# k = 8 over GF(2) and GF(3) puts several chunks in one lead row at every
 # chunk below q**7; k = 9 over GF(3) does so at the default chunk 4096 too
 @pytest.mark.parametrize(
     "f,k",
@@ -426,20 +425,20 @@ def scalar_projective_words(f, gen):
      (F25, 1), (F49, 1), (F64, 1)],
     ids=lambda v: f"GF{v.q}" if hasattr(v, "q") else f"k{v}",
 )
-def test_projective_words_match_scalar_encode_at_every_chunk(f, k):
+def test_projective_words_match_scalar_encode_at_every_chunk(monkeypatch, f, k):
     rng = random.Random(80 + 10 * f.q + k)
     n = 5
     gen = rand_mat(rng, f, k, n)
     want, per_lead = scalar_projective_words(f, gen)
     q = f.q
     for chunk in sorted({1, 2, max(q - 1, 1), q, q * q, 4096}):
-        for leads in [None, *range(1, k + 1)]:
-            chunks = list(iter_projective_words(f, gen, chunk=chunk, leads=leads))
-            assert all(1 <= len(c) <= chunk and c.dtype == np.uint8 for c in chunks)
-            got = np.vstack(chunks)
-            count = sum(per_lead[:leads])
-            assert got.shape == (count, n)
-            assert (got == want[:count]).all()
+        monkeypatch.setattr(kernels, "ENUM_CHUNK", chunk)
+        chunks = list(iter_projective_words(f, gen))
+        assert all(1 <= len(c) <= chunk and c.dtype == np.uint8 for c in chunks)
+        # a chunk never straddles two lead rows
+        ends = set(np.cumsum([len(c) for c in chunks]).tolist())
+        assert set(np.cumsum(per_lead).tolist()) <= ends
+        assert (np.vstack(chunks) == want).all()
 
 
 def brute_outside(f, gen, leads):
@@ -581,19 +580,18 @@ def test_scan_level_agrees_with_brute_minimum(f):
             assert outcomes[w].completed and outcomes[w].exhaustive
 
 
-def test_scan_level_reject_hook():
+def test_scan_level_subcode_rows():
     code = linear_code(F4, [[1, 0, 1, 1, 0], [0, 1, 1, 2, 3]], 5)
     base = scan_level(F4, code.parity_rows, 5, 3, 0, need_full=True)
     if base.witness is None:
-        pytest.skip("no weight-3 word to reject")
+        pytest.skip("no weight-3 word to exclude")
+    # relative to the code itself no word passes
     out = scan_level(
-        F4, code.parity_rows, 5, 3, 0, need_full=True, reject=lambda v: True
+        F4, code.parity_rows, 5, 3, 0, need_full=True, sub_rows=code.parity_rows
     )
     assert out.witness is None
     assert out.completed and out.exhaustive
-    keep = scan_level(
-        F4, code.parity_rows, 5, 3, 0, need_full=True, reject=lambda v: False
-    )
+    keep = scan_level(F4, code.parity_rows, 5, 3, 0, need_full=True, sub_rows=None)
     assert keep.witness == base.witness
 
 
@@ -626,8 +624,9 @@ def scan_cases(f, rng):
     yield linear_code(f, gen, 8)
 
 
-def reject_some(vec):
-    return vec[0] != 0
+def first_row_span(code):
+    """Parity rows of the subcode spanned by the code's first generator row."""
+    return linear_code(code.field, code.gen[:1], code.n).parity_rows
 
 
 @pytest.mark.parametrize("f", [F3, F4, F5, F7, F8], ids=lambda f: f"GF{f.q}")
@@ -636,11 +635,11 @@ def test_scan_level_matches_reference_scan(f):
     for code in scan_cases(f, rng):
         for w in range(1, code.n + 1):
             for need_full in (True, False):
-                for reject in (None, reject_some):
+                for sub_rows in (None, first_row_span(code)):
                     args = (f, code.parity_rows, code.n, w, 11)
-                    kw = dict(need_full=need_full, reject=reject)
+                    kw = dict(need_full=need_full, sub_rows=sub_rows)
                     want = oracles.scan_level(*args, **kw)
-                    assert scan_level(*args, **kw) == want, (code.k, w, need_full, reject)
+                    assert scan_level(*args, **kw) == want, (code.k, w, need_full, sub_rows)
 
 
 @pytest.mark.parametrize("chunk", [1, 5])
@@ -651,10 +650,58 @@ def test_scan_level_across_chunk_boundaries(monkeypatch, chunk):
     for f in (F4, F7):
         for code in scan_cases(f, rng):
             for w in range(1, len(code.parity_rows) + 1):
-                for reject in (None, reject_some):
+                for sub_rows in (None, first_row_span(code)):
                     args = (f, code.parity_rows, code.n, w, 3)
-                    kw = dict(need_full=True, reject=reject)
+                    kw = dict(need_full=True, sub_rows=sub_rows)
                     assert scan_level(*args, **kw) == oracles.scan_level(*args, **kw)
+
+
+def first_relative_support(code, sub, w, need_full):
+    """Lexicographic rank of the first size-w support that holds a word of
+    code outside sub (the word's support equal to it, if need_full), by
+    brute force over the codebook; None when there is none."""
+    outside = {
+        frozenset(i for i, x in enumerate(word) if x)
+        for word in oracles.all_codewords(code)
+        if not oracles.is_member(sub, word)
+    }
+    for rank, support in enumerate(itertools.combinations(range(code.n), w)):
+        s = frozenset(support)
+        if any(t == s if need_full else t <= s for t in outside):
+            return rank
+    return None
+
+
+@pytest.mark.parametrize("f", [F3, F4, F5, F7, F8], ids=lambda f: f"GF{f.q}")
+def test_relative_scan_matches_brute_force(f):
+    rng = random.Random(170 + f.q)
+    n = 6
+    for k in (2, 3):
+        code = linear_code(f, rand_mat(rng, f, k, n), n)
+        # subcodes from the zero code up to the code itself
+        for j in range(code.k + 1):
+            msgs = np_matrix(f, rand_mat(rng, f, j, code.k), code.k)
+            rows = gf_matmul(f, msgs, np_matrix(f, code.gen, n)).tolist()
+            sub = linear_code(f, rows, n)
+            for w in range(1, n + 1):
+                for need_full in (True, False):
+                    out = scan_level(
+                        f, code.parity_rows, n, w, 5,
+                        need_full=need_full, sub_rows=sub.parity_rows,
+                    )
+                    rank = first_relative_support(code, sub, w, need_full)
+                    case = (code, sub, w, need_full)
+                    if rank is None:
+                        assert out.witness is None, case
+                        assert out.completed and out.exhaustive, case
+                        assert out.supports_scanned == math.comb(n, w), case
+                        continue
+                    assert out.witness is not None, case
+                    assert oracles.is_member(code, out.witness), case
+                    assert not oracles.is_member(sub, out.witness), case
+                    weight = sum(1 for x in out.witness if x)
+                    assert weight == w if need_full else weight <= w, case
+                    assert out.supports_scanned == rank + 1, case
 
 
 def test_scan_level_cross_checks_what_the_tree_yields(monkeypatch):
@@ -787,7 +834,8 @@ def test_scan_level_dense_cap(monkeypatch):
     # [6, 2] over GF(3), r = 4: six supports at w = 5, fifteen at w = 4
     code = linear_code(F3, [[1, 0, 1, 2, 0, 1], [0, 1, 1, 1, 2, 0]], 6)
     monkeypatch.setattr(kernels, "DENSE_SUPPORT_CAP", 2)
-    none = dict(need_full=True, reject=lambda v: True)
+    # relative to the code itself no word passes
+    none = dict(need_full=True, sub_rows=code.parity_rows)
     out = scan_level(F3, code.parity_rows, 6, 5, 0, **none)
     assert out.witness is None and out.supports_scanned == 2
     assert not out.completed and not out.exhaustive
@@ -829,8 +877,11 @@ def test_sampled_probe_takes_one_philox_draw():
         full = [w for w in (scalar_encode(F5, m, basis) for m in msgs) if all(w)]
         vec, exact = probe_support(F5, parity, support, True, None, seed, tag)
         assert (vec, exact) == (full[0], False)
-        vec, _ = probe_support(F5, parity, support, True, lambda v: v == full[0], seed, tag)
-        assert vec == full[1]
+        # relative to the span of the first word, the next word outside it
+        span = linear_code(F5, [full[0]], 9)
+        sub = np_matrix(F5, span.parity_rows, 9)
+        vec, _ = probe_support(F5, parity, support, True, sub, seed, tag)
+        assert vec == next(w for w in full if not oracles.is_member(span, w))
 
 
 def test_probe_support_paths():
