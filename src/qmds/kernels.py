@@ -347,23 +347,19 @@ def _counter_digits(start: int, cnt: int, ndigits: int, q: int) -> np.ndarray:
     return out
 
 
-def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int):
+def _projective_blocks(field, g: np.ndarray, leads: int | None, amax: int):
     """The visiting order of a projective enumeration of the rows of g, in
     blocks: lead row index ascending, then the tail message as a base-q
     counter, leading digit 1.
 
-    Yields one (low, highs) pair per lead row.  low holds the words of every
-    message over the last a rows of g in counter order, a the largest at
-    most the tail with q**a <= low_cap; highs yields the high words (the
-    lead row plus the middle rows, in counter order) in blocks of at most
-    ENUM_CHUNK.  The words of the row are h + l for h in the high words and
-    l in low, in row-major (h, l) order.
+    Yields one (a, highs) pair per lead row, a = min(tail, amax).  highs
+    yields the high words (the lead row plus the middle rows, in counter
+    order) in blocks of at most ENUM_CHUNK.  The words of the row are h + l
+    for h in the high words and l the words of every message over the last
+    a rows of g in counter order, in row-major (h, l) order.
     """
     k = g.shape[0]
     q = field.q
-    amax = 0
-    while q ** (amax + 1) <= low_cap:
-        amax += 1
 
     def highs(lead, a):
         nhigh = q ** (k - lead - 1 - a)
@@ -374,7 +370,7 @@ def _projective_blocks(field, g: np.ndarray, leads: int | None, low_cap: int):
 
     for lead in range(k if leads is None else leads):
         a = min(k - lead - 1, amax)
-        yield gf_matmul(field, _counter_digits(0, q**a, a, q), g[k - a:]), highs(lead, a)
+        yield a, highs(lead, a)
 
 
 def iter_projective_words(field, gen):
@@ -384,10 +380,10 @@ def iter_projective_words(field, gen):
     message as a base-q counter, the enumeration's order.  Witness
     extraction that takes the first hit in this order is therefore
     deterministic.  The chunks are the high blocks of _projective_blocks
-    with an empty low block: each is one product of at most ENUM_CHUNK
-    messages that share a lead row.
+    with no low rows: each is one product of at most ENUM_CHUNK messages
+    that share a lead row.
     """
-    for _, highs in _projective_blocks(field, np.asarray(gen, dtype=np.uint8), None, 1):
+    for _, highs in _projective_blocks(field, np.asarray(gen, dtype=np.uint8), None, 0):
         yield from highs
 
 
@@ -399,19 +395,20 @@ def projective_weights(field, gen, leads: int | None = None):
     length n + 1, and first a dict from each weight that occurs to its first
     word, a uint8 array.
 
-    A word is h + l, h a high word and l a word of the low block of
-    _projective_blocks, and weight(h + l) = n - #{c : l_c = -h_c}.  Over
-    fields up to ENUM_PRODUCT_Q that agreement count is the product of two
-    one-hot matrices over the n*q (column, value) pairs: row i of the high
-    side marks (c, -h_i[c]), row j of the low side (c, l_j[c]).  One
+    A word is h + l, h a high word of _projective_blocks and l a word of the
+    low block, every message over the last a rows, a the largest at most the
+    tail with q**a <= ENUM_LOW.  weight(h + l) = n - #{c : l_c = -h_c}, and
+    over fields up to ENUM_PRODUCT_Q that agreement count is the product of
+    two one-hot matrices over the n*q (column, value) pairs: row i of the
+    high side marks (c, -h_i[c]), row j of the low side (c, l_j[c]).  One
     float32 product then gives the agreements of a whole block of (h, l)
     pairs, and it is exact, every entry being an integer at most n < 2**24.
     The product spends q*n multiply-adds on a pair, so over larger fields
-    the count compares each column of the high words with the same column
-    of the low block instead and sums the n boolean tables, n byte
-    comparisons a pair.  A block takes as many high words as keep its
-    largest array within ENUM_BYTES bytes, at least one; only the first
-    word of a new weight is built.
+    the count compares each column of the high words with the same column of
+    the low block instead and sums the n boolean tables, n byte comparisons
+    a pair.  A block takes as many high words as keep its largest array
+    within ENUM_BYTES bytes, at least one; only the first word of a new
+    weight is built.
     """
     g = np.asarray(gen, dtype=np.uint8)
     q, n = field.q, g.shape[-1]
@@ -421,7 +418,14 @@ def projective_weights(field, gen, leads: int | None = None):
     cols = np.arange(0, q * n, q, dtype=np.intp)
     counts = np.zeros(n + 1, dtype=np.int64)
     first = {}
-    for low, highs in _projective_blocks(field, g, leads, ENUM_LOW):
+    k, amax = g.shape[0], 0
+    while amax < k - 1 and q ** (amax + 1) <= ENUM_LOW:
+        amax += 1
+    # the messages over the last a rows are the first q**a of the counter
+    # over the last amax rows, so one product gives every row's low block
+    lows = gf_matmul(field, _counter_digits(0, q**amax, amax, q), g[k - amax:])
+    for a, highs in _projective_blocks(field, g, leads, amax):
+        low = lows[:q**a]
         nl = len(low)
         if product:
             onehot = np.zeros((nl, q * n), dtype=np.float32)

@@ -399,7 +399,9 @@ def test_projective_words_follow_scalar_encode_order(monkeypatch, f, leads):
     for chunk in (7, 4096):
         monkeypatch.setattr(kernels, "ENUM_CHUNK", chunk)
         chunks = list(iter_projective_words(f, gen))
-        assert (np.vstack(chunks) == want).all()
+        got = np.vstack(chunks)
+        assert got.shape == want.shape
+        assert (got == want).all()
         assert sum(per_lead[:leads]) in np.cumsum([len(c) for c in chunks])
 
 
@@ -438,7 +440,9 @@ def test_projective_words_match_scalar_encode_at_every_chunk(monkeypatch, f, k):
         # a chunk never straddles two lead rows
         ends = set(np.cumsum([len(c) for c in chunks]).tolist())
         assert set(np.cumsum(per_lead).tolist()) <= ends
-        assert (np.vstack(chunks) == want).all()
+        got = np.vstack(chunks)
+        assert got.shape == want.shape
+        assert (got == want).all()
 
 
 def brute_outside(f, gen, leads):
