@@ -23,7 +23,6 @@ from .pcode import (
     weight_spectrum,
 )
 from .qstab import (
-    QuantumCodeParams,
     Registry,
     char2_q2plus2,
     conjecture_report,
@@ -73,7 +72,8 @@ def _budget(args) -> SearchBudget:
 class _Out:
     """Holds the output lines, each with its newline, until the command
     returns, so a command that raises prints nothing, and --output mirrors
-    stdout exactly."""
+    stdout exactly.  The file is opened first, so a path that cannot be
+    written prints nothing."""
 
     def __init__(self, path: str | None):
         self.path = path
@@ -83,10 +83,10 @@ class _Out:
         self.lines.append(text + "\n")
 
     def close(self) -> None:
-        sys.stdout.writelines(self.lines)
         if self.path:
             with open(self.path, "w") as handle:
                 handle.writelines(self.lines)
+        sys.stdout.writelines(self.lines)
 
 
 def _witness_from_word(q, d, n, word, seed):
@@ -218,7 +218,7 @@ def cmd_qmds(args, out) -> int:
     payload = {
         "q": args.q,
         "d": args.d,
-        "bch_bound": bch_ht_bound(scan.spec),
+        "bch_bound": scan.bch_bound,
         "records": [r.to_dict() for r in scan.records],
         "presence": [
             _presence_row(r, args.q, args.d, n, budget.seed) for r in scan.presence
@@ -630,6 +630,7 @@ def main(argv=None) -> int:
     out = _Out(args.output)
     try:
         status = args.func(args, out)
+        out.close()
     except Contradiction as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -639,7 +640,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.close()
     return status
 
 

@@ -16,10 +16,11 @@ the prefix tree of column subsets.  batch_rank does not choose the supports
 a scan probes: it cross-checks the ones the tree yields.  On a code closed
 under a twisted shift the same walk can keep to one support per rotation
 orbit, the necklaces, and a scan then probes only those as long as its
-probes stay exhaustive.  A probe visits the words on its support in the
-enumeration's order, the high blocks of _projective_blocks, and a relative
-scan takes its subcode as parity rows: one syndrome product per chunk
-against their columns on the support drops the subcode's words.
+probes stay exhaustive.  A scan level asks which size-w support first
+carries a word of weight w, given the code and the subcode as uint8 parity
+matrices.  A probe visits the words on its support in the enumeration's
+order, the high blocks of _projective_blocks, and one syndrome product per
+chunk against the subcode's parity columns on the support drops its words.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ from .budgets import (
     SUBSCAN_SAMPLES,
 )
 from .errors import Contradiction
-
-
-def np_matrix(field, rows, ncols: int) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.uint8)
-    return np.array([list(r) for r in rows], dtype=np.uint8)
 
 
 def gf_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -487,14 +482,11 @@ class ScanOutcome:
     exhaustive: bool
 
 
-def _first_passing(field, words: np.ndarray, need_full: bool, sub_cols):
-    """The first row of words, as a tuple, that is nonzero, of full weight
-    if need_full, and outside the subcode whose parity columns on the
-    support are sub_cols (None: no subcode); None when no row passes."""
-    mask = words.any(axis=1)
-    if need_full:
-        mask &= (words != 0).all(axis=1)
-    rows = np.flatnonzero(mask)
+def _first_passing(field, words: np.ndarray, sub_cols):
+    """The first row of words, as a tuple, that is nonzero in every
+    coordinate and outside the subcode whose parity columns on the support
+    are sub_cols (None: no subcode); None when no row passes."""
+    rows = np.flatnonzero(words.all(axis=1))
     if sub_cols is not None and len(rows):
         # a word on the support lies in the subcode exactly when its
         # syndrome against the subcode's parity columns there is zero
@@ -502,22 +494,22 @@ def _first_passing(field, words: np.ndarray, need_full: bool, sub_cols):
     return tuple(words[rows[0]].tolist()) if len(rows) else None
 
 
-def probe_support(field, parity_np, support, need_full, sub_np, seed, tag):
-    """Hunt a passing word among code words supported inside one support.
+def probe_support(field, parity, support, sub, seed, tag):
+    """Hunt a word of weight len(support) among the code words supported
+    inside one support, the code having the uint8 parity matrix parity.
 
-    A word passes when it is nonzero, of full weight if need_full, and
-    outside the subcode with parity matrix sub_np (None: no subcode), one
-    syndrome product per chunk against sub_np's columns on the support.
+    A word passes when it is nonzero on every column of the support and
+    outside the subcode with parity matrix sub (None: no subcode), one
+    syndrome product per chunk against sub's columns on the support.
     Returns (support-local vector | None, exhaustive).  Exhaustive means
     every projective candidate on this support was checked, in the
     enumeration's order (iter_projective_words); otherwise SUBSCAN_SAMPLES
-    messages are drawn with iter_sampled_words.
+    messages are drawn with iter_sampled_words.  An empty kernel gives no
+    candidates, and so (None, True).
     """
     cols = list(support)
-    basis = null_space(field, parity_np[:, cols], len(cols))
-    if not basis:
-        return None, True
-    sub_cols = None if sub_np is None else sub_np[:, cols].T
+    basis = null_space(field, parity[:, cols], len(cols))
+    sub_cols = None if sub is None else sub[:, cols].T
     exhaustive = projective_count(field.q, len(basis)) <= SUBSCAN_EXACT_CAP
     if exhaustive:
         chunks = iter_projective_words(field, basis)
@@ -525,45 +517,43 @@ def probe_support(field, parity_np, support, need_full, sub_np, seed, tag):
         sampled = iter_sampled_words(field, basis, SUBSCAN_SAMPLES, seed, tag)
         chunks = (words for _, words in sampled)
     for words in chunks:
-        hit = _first_passing(field, words, need_full, sub_cols)
+        hit = _first_passing(field, words, sub_cols)
         if hit is not None:
             return hit, exhaustive
     return None, exhaustive
 
 
-def scan_level(field, parity_rows, n, w, seed, *, need_full, sub_rows=None, rotations=False):
-    """Scan all size-w supports, in lexicographic order, for a passing word:
-    a nonzero code word inside the support, of weight w if need_full, and
-    outside the subcode with parity rows sub_rows, when those are given.
+def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
+    """Scan all size-w supports, in lexicographic order, for the first that
+    carries a word of weight w: a code word nonzero on exactly that support,
+    outside the subcode with uint8 parity matrix sub, when one is given.
+    The code is given by its (r, n) uint8 parity matrix parity.
 
-    When w <= r (parity rows) only a support whose parity columns are
-    dependent carries a word, and dependent_supports finds exactly those on
-    its prefix tree.  batch_rank cross-checks them, one call per RANK_CHUNK
-    of them, and a support of full rank raises Contradiction.  Above r every
-    support is probed, and the level stops unfinished once
-    DENSE_SUPPORT_CAP probes are spent.  The probe of the support with
-    lexicographic index i samples with tag (w << 32) | i.  Witnesses come
-    back full length.
+    When w <= r only a support whose parity columns are dependent carries a
+    word, and dependent_supports finds exactly those on its prefix tree.
+    batch_rank cross-checks them, one call per RANK_CHUNK of them, and a
+    support of full rank raises Contradiction.  Above r every support is
+    probed, and the level stops unfinished once DENSE_SUPPORT_CAP probes are
+    spent.  The probe of the support with lexicographic index i samples with
+    tag (w << 32) | i.  Witnesses come back full length.
 
     rotations=True says the code is closed under a twisted shift, which
     maps the words on a support onto those on its rotation by one.  With no
-    subcode, the supports that carry a passing word are then closed under
-    rotation, and for w <= r the scan first probes only the necklaces, the
-    supports that are their own least rotation.  The lexicographically
-    first passing support is one of them, so when every probe before a
-    witness was exhaustive that witness is the full scan's, and a walk of
-    exhaustive probes that finds none proves the level empty.  Otherwise (a
-    sampled probe) the full tree is scanned after all.
+    subcode, the supports that carry a word of weight w are then closed
+    under rotation, and for w <= r the scan first probes only the necklaces,
+    the supports that are their own least rotation.  The lexicographically
+    first such support is one of them, so when every probe before a witness
+    was exhaustive that witness is the full scan's, and a walk of exhaustive
+    probes that finds none proves the level empty.  Otherwise (a sampled
+    probe) the full tree is scanned after all.
     """
-    r = len(parity_rows)
-    parity_np = np_matrix(field, parity_rows, n)
-    sub_np = None if sub_rows is None else np_matrix(field, sub_rows, n)
+    r, n = parity.shape
 
     def dependent(necklaces):
-        for found in dependent_supports(field, parity_np, w, SCAN_CHUNK, necklaces):
+        for found in dependent_supports(field, parity, w, SCAN_CHUNK, necklaces):
             for lo in range(0, len(found), RANK_CHUNK):
                 part = found[lo:lo + RANK_CHUNK]
-                ranks = batch_rank(field, parity_np[:, part].transpose(1, 0, 2))
+                ranks = batch_rank(field, parity[:, part].transpose(1, 0, 2))
                 indep = np.flatnonzero(ranks == w)
                 if len(indep):
                     bad = part[indep[0]].tolist()
@@ -578,9 +568,7 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, sub_rows=None, rota
         for counter, support in supports:
             if counter >= cap:
                 return ScanOutcome(None, counter, False, False), exhaustive
-            vec, exact = probe_support(
-                field, parity_np, support, need_full, sub_np, seed, (w << 32) | counter,
-            )
+            vec, exact = probe_support(field, parity, support, sub, seed, (w << 32) | counter)
             if vec is not None:
                 full = [0] * n
                 for pos, val in zip(support, vec):
@@ -591,7 +579,7 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, sub_rows=None, rota
 
     if w > r:
         return probe(enumerate(itertools.combinations(range(n), w)), DENSE_SUPPORT_CAP)[0]
-    if rotations and sub_rows is None:
+    if rotations and sub is None:
         out, exhaustive = probe(dependent(True), math.inf)
         if exhaustive:
             return out

@@ -29,7 +29,7 @@ from .errors import (
     TooLarge,
     ZeroDimensional,
 )
-from .gf import FieldTable, SubfieldEmbedding, build_field, conjugate, embed
+from .gf import FieldTable, conjugate, embed
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,24 @@ class LinearCode:
             for v in kernels.rref_null_space(self.field, self.gen, self.pivots, self.n)
         )
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The generator rows as a read-only uint8 (k, n) array."""
+        return _frozen(self.gen, self.n)
+
+    @cached_property
+    def parity_matrix(self) -> np.ndarray:
+        """The parity rows as a read-only uint8 (n - k, n) array."""
+        return _frozen(self.parity_rows, self.n)
+
     def __repr__(self):
         return f"[{self.n},{self.k}] over GF({self.field.q})"
 
     def syndromes(self, rows) -> np.ndarray:
-        """rows @ parity_rows^T, one gf_matmul for the batch: a row is a code
-        word exactly when its syndrome is zero."""
-        f = self.field
-        return kernels.gf_matmul(
-            f, kernels.np_matrix(f, rows, self.n),
-            kernels.np_matrix(f, self.parity_rows, self.n).T,
-        )
+        """rows @ parity_matrix^T, one gf_matmul for the batch: a row is a
+        code word exactly when its syndrome is zero."""
+        mat = np.array(rows, dtype=np.uint8).reshape(len(rows), self.n)
+        return kernels.gf_matmul(self.field, mat, self.parity_matrix.T)
 
     def contains(self, vec) -> bool:
         if len(vec) != self.n:
@@ -87,6 +94,12 @@ class LinearCode:
             return None
         units = self.field.exp_table[:self.field.q - 1]  # g**0, g**1, ...
         return next((a for a in units if self.shift_closed(a)), None)
+
+
+def _frozen(rows, n: int) -> np.ndarray:
+    mat = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+    mat.setflags(write=False)
+    return mat
 
 
 def linear_code(field: FieldTable, rows, n: int | None = None) -> LinearCode:
@@ -158,7 +171,7 @@ def words_supported_in(code: LinearCode, support) -> LinearCode:
     cols = [[row[j] for j in outside] for row in code.gen]
     msgs = kernels.null_space(f, [list(c) for c in zip(*cols)], code.k)
     words = kernels.gf_matmul(
-        f, kernels.np_matrix(f, msgs, code.k), kernels.np_matrix(f, code.gen, code.n)
+        f, np.array(msgs, dtype=np.uint8).reshape(len(msgs), code.k), code.matrix
     )
     return linear_code(f, words.tolist(), code.n)
 
@@ -212,11 +225,8 @@ def mds_verify(code: LinearCode) -> bool:
             f"MDS check needs {count} subsets, above the {MDS_SUBSET_CAP} cap"
         )
     if k <= n - k:
-        rows, size = code.gen, k
-    else:
-        rows, size = code.parity_rows, n - k
-    mat = kernels.np_matrix(code.field, rows, n)
-    return kernels.independent_subsets(code.field, mat, size)
+        return kernels.independent_subsets(code.field, code.matrix, k)
+    return kernels.independent_subsets(code.field, code.parity_matrix, n - k)
 
 
 @dataclass(frozen=True)
@@ -318,25 +328,21 @@ class WordSearch:
         self.exact_counts = [int(c) for c in counts]
         self.absent.update(w for w in range(1, n + 1) if counts[w] == 0)
 
-    def scan(self, w: int, budget: SearchBudget, need_full: bool):
-        """Support scan at level w, or None when its gate refuses.
-
-        need_full asks for weight exactly w; otherwise any word inside a
-        size-w support passes, and a completed exhaustive scan proves every
-        weight up to w absent.
-        """
+    def scan(self, w: int, budget: SearchBudget):
+        """Support scan for a word of weight w, or None when its gate
+        refuses.  A completed exhaustive scan proves weight w absent."""
         code = self.code
         if not kernels.level_gate(code.n, w, code.k, budget.support):
             return None
         out = kernels.scan_level(
-            code.field, code.parity_rows, code.n, w, budget.seed,
-            need_full=need_full, sub_rows=self.sub.parity_rows if self.sub else None,
+            code.field, code.parity_matrix, w, budget.seed,
+            sub=self.sub.parity_matrix if self.sub else None,
             rotations=self.sub is None and code.twisted_shift is not None,
         )
         if out.witness is not None:
             self.record(out.witness)
         elif out.completed and out.exhaustive:
-            self.absent.update([w] if need_full else range(1, w + 1))
+            self.absent.add(w)
         return out
 
     def sample(self, budget: SearchBudget, tag: int, stop: int | None = None) -> None:
@@ -358,19 +364,20 @@ class WordSearch:
 
     def lowest(self, budget: SearchBudget, tag: int) -> WeightResult:
         """Lowest weight: enumerate when affordable, else scan levels upward
-        while each one completes, then sample down to the proven floor."""
+        while each one proves its weight absent, then sample down to the
+        proven floor.  A level is scanned only once every lower weight is
+        absent, so the first word it finds has the lowest weight."""
         if self.enum_cost <= budget.enum:
             self.enumerate()
             w = min(self.found)
             return WeightResult(w, self.found[w], "exact", w)
         floor = 1
         while floor <= self.code.n:
-            out = self.scan(floor, budget, need_full=False)
+            out = self.scan(floor, budget)
             if out is None:
                 break
             if out.witness is not None:
-                w = _weight(out.witness)
-                return WeightResult(w, self.found[w], "exact", w)
+                return WeightResult(floor, self.found[floor], "exact", floor)
             if floor not in self.absent:
                 break
             floor += 1

@@ -39,8 +39,7 @@ def _conj_gen(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     """(conj(G), G) for the generator matrix G, as uint8 arrays."""
     f = code.field
     conj = np.array([conjugate(f, v) for v in range(f.q)], dtype=np.uint8)
-    gen = kernels.np_matrix(f, code.gen, code.n)
-    return conj[gen], gen
+    return conj[code.matrix], code.matrix
 
 
 def _product_rows(code: LinearCode) -> np.ndarray:
@@ -160,7 +159,7 @@ def weight_present(pc: PunctureCode, w: int,
         effort = {"enumerated": True}
     else:
         pc.sample(budget, tag=0x77)
-        out = None if w in pc.found else pc.scan(w, budget, need_full=True)
+        out = None if w in pc.found else pc.scan(w, budget)
         effort = {} if out is None else {"supports_scanned": out.supports_scanned}
         # credited to sampling when it found w or w stays undecided
         if out is None or not (w in pc.found or w in pc.absent):

@@ -249,6 +249,7 @@ class FamilyScan:
     q: int
     d: int
     spec: ConstacyclicSpec
+    bch_bound: int
     pcode: PunctureCode
     presence: list[PresenceResult]
     records: list[QuantumCodeParams]
@@ -313,7 +314,7 @@ def family_q2plus1(
             raise Contradiction(
                 "full-weight word guaranteed by the parity argument is missing"
             )
-    return FamilyScan(q, d, spec, pc, presence, records, witnesses, guaranteed)
+    return FamilyScan(q, d, spec, floor, pc, presence, records, witnesses, guaranteed)
 
 
 def norm_triple_code(m: int):

@@ -239,16 +239,15 @@ def smallest_log_root(small, big):
     return None
 
 
-def scan_level(field, parity_rows, n, w, seed, *, need_full, sub_rows=None):
-    """kernels.scan_level by ranking every support: for w <= r (parity
-    rows), one batch_rank of each size-w support in itertools.combinations
-    order keeps those of rank below w; above r every support is kept, up to
-    DENSE_SUPPORT_CAP probes.  The kept supports get the package's probe
-    with the same tags and subcode, so only the choice of supports is
+def scan_level(field, parity, w, seed, *, sub=None):
+    """kernels.scan_level by ranking every support: for w <= r (rows of the
+    uint8 parity matrix), one batch_rank of each size-w support in
+    itertools.combinations order keeps those of rank below w; above r every
+    support is kept, up to DENSE_SUPPORT_CAP probes.  The kept supports get
+    the package's probe, which asks for a word of weight w, with the same
+    tags and subcode parity matrix sub, so only the choice of supports is
     checked here."""
-    r = len(parity_rows)
-    parity = kernels.np_matrix(field, parity_rows, n)
-    sub = None if sub_rows is None else kernels.np_matrix(field, sub_rows, n)
+    r, n = parity.shape
     combos = list(itertools.combinations(range(n), w))
     if w <= r and combos:
         stacks = np.moveaxis(parity[:, np.array(combos, dtype=np.intp)], 1, 0)
@@ -263,7 +262,7 @@ def scan_level(field, parity_rows, n, w, seed, *, need_full, sub_rows=None):
         if i >= cap:
             return kernels.ScanOutcome(None, i, False, False)
         vec, exact = kernels.probe_support(
-            field, parity, support, need_full, sub, seed, (w << 32) | i
+            field, parity, support, sub, seed, (w << 32) | i
         )
         if vec is not None:
             full = [0] * n

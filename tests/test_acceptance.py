@@ -188,10 +188,7 @@ def test_c07_char2_families():
         assert len(witness) == params.n and all(witness)
         dstar = dual(d_code, "hermitian")
         for w in (1, 2, 3):
-            out = scan_level(
-                d_code.field, dstar.parity_rows, d_code.n, w,
-                DEFAULT_BUDGET.seed, need_full=True,
-            )
+            out = scan_level(d_code.field, dstar.parity_matrix, w, DEFAULT_BUDGET.seed)
             assert out.witness is None and out.completed and out.exhaustive
 
 

@@ -169,6 +169,32 @@ def test_q2p2_and_output_mirror(capsys, tmp_path):
     assert payload["witness"]["weight"] == 6
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_two_and_prints_nothing(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    status, out, err = run(capsys, "--output", str(target), "field", "2", "3")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_qmds_computes_the_bch_bound_once(capsys, monkeypatch):
+    import qmds.qstab
+    from qmds.ccodes import bch_ht_bound
+
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return bch_ht_bound(spec)
+
+    for module in (qmds.qstab, qmds.cli):
+        monkeypatch.setattr(module, "bch_ht_bound", counted)
+    status, payload = run_json(capsys, "qmds", "3", "3")
+    assert status == 0 and payload["bch_bound"] == bch_ht_bound(calls[0])
+    assert len(calls) == 1
+
+
 def test_shorten_command(capsys):
     status, payload = run_json(capsys, "shorten", "3:10:0:6", "1")
     assert status == 0

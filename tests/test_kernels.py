@@ -24,7 +24,6 @@ from qmds.kernels import (
     iter_sampled_words,
     level_gate,
     lex_rank,
-    np_matrix,
     null_space,
     philox,
     probe_support,
@@ -560,7 +559,7 @@ def test_sampled_words_deterministic_and_in_code():
 def scan_until_found(field, code, seed=5):
     outcomes = {}
     for w in range(1, code.n + 1):
-        out = scan_level(field, code.parity_rows, code.n, w, seed, need_full=True)
+        out = scan_level(field, code.parity_matrix, w, seed)
         outcomes[w] = out
         if out.witness is not None:
             return w, outcomes
@@ -586,16 +585,14 @@ def test_scan_level_agrees_with_brute_minimum(f):
 
 def test_scan_level_subcode_rows():
     code = linear_code(F4, [[1, 0, 1, 1, 0], [0, 1, 1, 2, 3]], 5)
-    base = scan_level(F4, code.parity_rows, 5, 3, 0, need_full=True)
+    base = scan_level(F4, code.parity_matrix, 3, 0)
     if base.witness is None:
         pytest.skip("no weight-3 word to exclude")
     # relative to the code itself no word passes
-    out = scan_level(
-        F4, code.parity_rows, 5, 3, 0, need_full=True, sub_rows=code.parity_rows
-    )
+    out = scan_level(F4, code.parity_matrix, 3, 0, sub=code.parity_matrix)
     assert out.witness is None
     assert out.completed and out.exhaustive
-    keep = scan_level(F4, code.parity_rows, 5, 3, 0, need_full=True, sub_rows=None)
+    keep = scan_level(F4, code.parity_matrix, 3, 0, sub=None)
     assert keep.witness == base.witness
 
 
@@ -607,7 +604,7 @@ def test_scan_level_decides_every_level(f):
         code = linear_code(f, rand_mat(rng, f, k, 7), 7)
         counts = oracles.brute_spectrum(code)
         for w in range(1, 8):
-            out = scan_level(f, code.parity_rows, 7, w, 3, need_full=True)
+            out = scan_level(f, code.parity_matrix, w, 3)
             assert (out.witness is not None) == (counts[w] > 0), (code.k, w)
             if out.witness is None:
                 assert out.completed and out.exhaustive
@@ -629,8 +626,8 @@ def scan_cases(f, rng):
 
 
 def first_row_span(code):
-    """Parity rows of the subcode spanned by the code's first generator row."""
-    return linear_code(code.field, code.gen[:1], code.n).parity_rows
+    """Parity matrix of the subcode spanned by the code's first generator row."""
+    return linear_code(code.field, code.gen[:1], code.n).parity_matrix
 
 
 @pytest.mark.parametrize("f", [F3, F4, F5, F7, F8], ids=lambda f: f"GF{f.q}")
@@ -638,12 +635,10 @@ def test_scan_level_matches_reference_scan(f):
     rng = random.Random(130 + f.q)
     for code in scan_cases(f, rng):
         for w in range(1, code.n + 1):
-            for need_full in (True, False):
-                for sub_rows in (None, first_row_span(code)):
-                    args = (f, code.parity_rows, code.n, w, 11)
-                    kw = dict(need_full=need_full, sub_rows=sub_rows)
-                    want = oracles.scan_level(*args, **kw)
-                    assert scan_level(*args, **kw) == want, (code.k, w, need_full, sub_rows)
+            for sub in (None, first_row_span(code)):
+                args = (f, code.parity_matrix, w, 11)
+                want = oracles.scan_level(*args, sub=sub)
+                assert scan_level(*args, sub=sub) == want, (code.k, w, sub)
 
 
 @pytest.mark.parametrize("chunk", [1, 5])
@@ -654,16 +649,15 @@ def test_scan_level_across_chunk_boundaries(monkeypatch, chunk):
     for f in (F4, F7):
         for code in scan_cases(f, rng):
             for w in range(1, len(code.parity_rows) + 1):
-                for sub_rows in (None, first_row_span(code)):
-                    args = (f, code.parity_rows, code.n, w, 3)
-                    kw = dict(need_full=True, sub_rows=sub_rows)
-                    assert scan_level(*args, **kw) == oracles.scan_level(*args, **kw)
+                for sub in (None, first_row_span(code)):
+                    args = (f, code.parity_matrix, w, 3)
+                    assert scan_level(*args, sub=sub) == oracles.scan_level(*args, sub=sub)
 
 
-def first_relative_support(code, sub, w, need_full):
-    """Lexicographic rank of the first size-w support that holds a word of
-    code outside sub (the word's support equal to it, if need_full), by
-    brute force over the codebook; None when there is none."""
+def first_relative_support(code, sub, w):
+    """Lexicographic rank of the first size-w support that is the support of
+    a word of code outside sub, by brute force over the codebook; None when
+    there is none."""
     outside = {
         frozenset(i for i, x in enumerate(word) if x)
         for word in oracles.all_codewords(code)
@@ -671,7 +665,7 @@ def first_relative_support(code, sub, w, need_full):
     }
     for rank, support in enumerate(itertools.combinations(range(code.n), w)):
         s = frozenset(support)
-        if any(t == s if need_full else t <= s for t in outside):
+        if s in outside:
             return rank
     return None
 
@@ -684,33 +678,27 @@ def test_relative_scan_matches_brute_force(f):
         code = linear_code(f, rand_mat(rng, f, k, n), n)
         # subcodes from the zero code up to the code itself
         for j in range(code.k + 1):
-            msgs = np_matrix(f, rand_mat(rng, f, j, code.k), code.k)
-            rows = gf_matmul(f, msgs, np_matrix(f, code.gen, n)).tolist()
-            sub = linear_code(f, rows, n)
+            msgs = np.array(rand_mat(rng, f, j, code.k), dtype=np.uint8).reshape(j, code.k)
+            sub = linear_code(f, gf_matmul(f, msgs, code.matrix).tolist(), n)
             for w in range(1, n + 1):
-                for need_full in (True, False):
-                    out = scan_level(
-                        f, code.parity_rows, n, w, 5,
-                        need_full=need_full, sub_rows=sub.parity_rows,
-                    )
-                    rank = first_relative_support(code, sub, w, need_full)
-                    case = (code, sub, w, need_full)
-                    if rank is None:
-                        assert out.witness is None, case
-                        assert out.completed and out.exhaustive, case
-                        assert out.supports_scanned == math.comb(n, w), case
-                        continue
-                    assert out.witness is not None, case
-                    assert oracles.is_member(code, out.witness), case
-                    assert not oracles.is_member(sub, out.witness), case
-                    weight = sum(1 for x in out.witness if x)
-                    assert weight == w if need_full else weight <= w, case
-                    assert out.supports_scanned == rank + 1, case
+                out = scan_level(f, code.parity_matrix, w, 5, sub=sub.parity_matrix)
+                rank = first_relative_support(code, sub, w)
+                case = (code, sub, w)
+                if rank is None:
+                    assert out.witness is None, case
+                    assert out.completed and out.exhaustive, case
+                    assert out.supports_scanned == math.comb(n, w), case
+                    continue
+                assert out.witness is not None, case
+                assert oracles.is_member(code, out.witness), case
+                assert not oracles.is_member(sub, out.witness), case
+                assert sum(1 for x in out.witness if x) == w, case
+                assert out.supports_scanned == rank + 1, case
 
 
 def test_scan_level_cross_checks_what_the_tree_yields(monkeypatch):
     code = linear_code(F5, [[1, 0, 1, 2, 3, 4], [0, 1, 1, 1, 2, 3]], 6)
-    parity = np_matrix(F5, code.parity_rows, 6)
+    parity = code.parity_matrix
     indep = next(
         s for s in itertools.combinations(range(6), 3)
         if s not in dependent_subsets(F5, parity, 3)
@@ -719,7 +707,7 @@ def test_scan_level_cross_checks_what_the_tree_yields(monkeypatch):
         kernels, "dependent_supports", lambda *args: iter([np.array([indep])])
     )
     with pytest.raises(Contradiction):
-        scan_level(F5, code.parity_rows, 6, 3, 0, need_full=False)
+        scan_level(F5, parity, 3, 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -749,7 +737,7 @@ def test_necklace_walk_yields_one_support_per_rotation_orbit(q, d, top):
     code = spectral_pc(q, d)
     assert code.twisted_shift is not None
     f, n = code.field, code.n
-    parity = np_matrix(f, code.parity_rows, n)
+    parity = code.parity_matrix
     for w in range(1, min(len(parity), top or n) + 1):
         neck = []
         for found in dependent_supports(f, parity, w, SCAN_CHUNK, necklaces=True):
@@ -775,8 +763,8 @@ def test_necklace_walk_on_a_zero_matrix_yields_every_least_rotation(n):
 
 def orbit_scans(monkeypatch, reference, seed=11):
     """Compare scan_level(..., rotations=True) with the reference scan on
-    every orbit level, both ways of need_full.  Returns how many scans the
-    necklace walk decided alone and how many fell back to the full tree."""
+    every orbit level.  Returns how many scans the necklace walk decided
+    alone and how many fell back to the full tree."""
     walks = []
     walk = kernels.dependent_supports
 
@@ -787,21 +775,20 @@ def orbit_scans(monkeypatch, reference, seed=11):
     monkeypatch.setattr(kernels, "dependent_supports", logged)
     stood = fell = 0
     for code, w in orbit_levels():
-        for need_full in (True, False):
-            args = (code.field, code.parity_rows, code.n, w, seed)
-            walks.clear()
-            got = scan_level(*args, need_full=need_full, rotations=True)
-            stood += walks == [True]
-            fell += walks == [True, False]
-            assert got == reference(code, *args, need_full=need_full), (code, w, need_full)
+        args = (code.field, code.parity_matrix, w, seed)
+        walks.clear()
+        got = scan_level(*args, rotations=True)
+        stood += walks == [True]
+        fell += walks == [True, False]
+        assert got == reference(code, *args), (code, w)
     return stood, fell
 
 
 def test_orbit_scan_matches_the_full_scan(monkeypatch):
-    def reference(code, *args, need_full):
+    def reference(code, *args):
         if code.field.q <= 4:
-            return oracles.scan_level(*args, need_full=need_full)
-        return scan_level(*args, need_full=need_full)
+            return oracles.scan_level(*args)
+        return scan_level(*args)
 
     stood, fell = orbit_scans(monkeypatch, reference)
     # every probe of these levels is exhaustive
@@ -811,15 +798,13 @@ def test_orbit_scan_matches_the_full_scan(monkeypatch):
 def test_orbit_scan_falls_back_when_probes_sample(monkeypatch):
     # every probe samples: only a witness on the first necklace probed stands
     monkeypatch.setattr(kernels, "SUBSCAN_EXACT_CAP", 0)
-    stood, fell = orbit_scans(
-        monkeypatch, lambda code, *args, need_full: scan_level(*args, need_full=need_full)
-    )
+    stood, fell = orbit_scans(monkeypatch, lambda code, *args: scan_level(*args))
     assert stood and fell
 
 
 def test_orbit_scan_cross_checks_what_the_necklace_walk_yields(monkeypatch):
     code = linear_code(F5, [[1, 0, 1, 2, 3, 4], [0, 1, 1, 1, 2, 3]], 6)
-    parity = np_matrix(F5, code.parity_rows, 6)
+    parity = code.parity_matrix
     indep = next(
         s for s in itertools.combinations(range(6), 3)
         if s not in dependent_subsets(F5, parity, 3)
@@ -828,10 +813,10 @@ def test_orbit_scan_cross_checks_what_the_necklace_walk_yields(monkeypatch):
         kernels, "dependent_supports",
         lambda *args: iter([np.array([indep])] if args[4] else []),
     )
-    out = scan_level(F5, code.parity_rows, 6, 3, 0, need_full=False)
+    out = scan_level(F5, parity, 3, 0)
     assert out.witness is None and out.completed
     with pytest.raises(Contradiction):
-        scan_level(F5, code.parity_rows, 6, 3, 0, need_full=False, rotations=True)
+        scan_level(F5, parity, 3, 0, rotations=True)
 
 
 def test_scan_level_dense_cap(monkeypatch):
@@ -839,16 +824,16 @@ def test_scan_level_dense_cap(monkeypatch):
     code = linear_code(F3, [[1, 0, 1, 2, 0, 1], [0, 1, 1, 1, 2, 0]], 6)
     monkeypatch.setattr(kernels, "DENSE_SUPPORT_CAP", 2)
     # relative to the code itself no word passes
-    none = dict(need_full=True, sub_rows=code.parity_rows)
-    out = scan_level(F3, code.parity_rows, 6, 5, 0, **none)
+    parity = code.parity_matrix
+    out = scan_level(F3, parity, 5, 0, sub=parity)
     assert out.witness is None and out.supports_scanned == 2
     assert not out.completed and not out.exhaustive
     # the cap binds only above r
-    out = scan_level(F3, code.parity_rows, 6, 4, 0, **none)
+    out = scan_level(F3, parity, 4, 0, sub=parity)
     assert out.completed and out.supports_scanned == 15
     # a level of exactly cap supports still completes
     monkeypatch.setattr(kernels, "DENSE_SUPPORT_CAP", 6)
-    out = scan_level(F3, code.parity_rows, 6, 5, 0, **none)
+    out = scan_level(F3, parity, 5, 0, sub=parity)
     assert out.completed and out.exhaustive and out.supports_scanned == 6
 
 
@@ -870,7 +855,7 @@ def test_rank_one_update_matches_scalar_reference(f):
 def test_sampled_probe_takes_one_philox_draw():
     # the sampled probe checks the words of one SUBSCAN_SAMPLES-message
     # draw of philox(seed, tag), in order
-    parity = np_matrix(F5, [[1, 2, 3, 4, 1, 2, 3, 4, 1]], 9)
+    parity = np.array([[1, 2, 3, 4, 1, 2, 3, 4, 1]], dtype=np.uint8)
     support = tuple(range(9))
     basis = null_space(F5, parity, 9)
     assert projective_count(5, len(basis)) > SUBSCAN_EXACT_CAP
@@ -879,28 +864,25 @@ def test_sampled_probe_takes_one_philox_draw():
             0, 5, size=(SUBSCAN_SAMPLES, len(basis)), dtype=np.uint8
         )
         full = [w for w in (scalar_encode(F5, m, basis) for m in msgs) if all(w)]
-        vec, exact = probe_support(F5, parity, support, True, None, seed, tag)
+        vec, exact = probe_support(F5, parity, support, None, seed, tag)
         assert (vec, exact) == (full[0], False)
         # relative to the span of the first word, the next word outside it
         span = linear_code(F5, [full[0]], 9)
-        sub = np_matrix(F5, span.parity_rows, 9)
-        vec, _ = probe_support(F5, parity, support, True, sub, seed, tag)
+        vec, _ = probe_support(F5, parity, support, span.parity_matrix, seed, tag)
         assert vec == next(w for w in full if not oracles.is_member(span, w))
 
 
 def test_probe_support_paths():
     # tiny kernel: the probe enumerates every candidate and says so
-    parity = np_matrix(F3, [[1, 1, 1, 0], [0, 0, 0, 1]], 4)
-    vec, exact = probe_support(F3, parity, (0, 1, 2), True, None, 0, 0)
+    parity = np.array([[1, 1, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)
+    vec, exact = probe_support(F3, parity, (0, 1, 2), None, 0, 0)
     assert exact
     assert vec is not None and len(vec) == 3 and all(vec)
     # huge kernel: sampling only, flagged non-exhaustive
     f5 = build_field(5, 1)
     zero_parity = np.zeros((1, 9), dtype=np.uint8)
     assert projective_count(5, 8) > SUBSCAN_EXACT_CAP
-    vec, exact = probe_support(
-        f5, zero_parity, tuple(range(8)), True, None, 3, 1
-    )
+    vec, exact = probe_support(f5, zero_parity, tuple(range(8)), None, 3, 1)
     assert not exact
     assert vec is not None and all(vec)
 

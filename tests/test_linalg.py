@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from qmds.budgets import SearchBudget
@@ -141,6 +142,18 @@ def test_parity_rows_equal_null_space_of_generator(q):
             code = random_code(f, n, k, rng)
             want = tuple(tuple(v) for v in null_space(f, code.gen, n))
             assert code.parity_rows == want, (n, k)
+
+
+def test_matrices_are_read_only_copies_of_the_rows():
+    f = build_field(3)
+    for rows, n in (([(1, 0, 2, 0), (0, 1, 1, 1)], 4), ([], 3), ([(1, 0), (0, 1)], 2)):
+        code = linear_code(f, rows, n)
+        for mat, want in ((code.matrix, code.gen), (code.parity_matrix, code.parity_rows)):
+            assert mat.dtype == np.uint8 and mat.shape == (len(want), n)
+            assert mat.tolist() == [list(r) for r in want]
+            with pytest.raises(ValueError):
+                mat[...] = 0
+        assert code.matrix is code.matrix
 
 
 def test_code_from_parity_matches_dual():
@@ -290,6 +303,29 @@ def test_min_weight_relative_matches_brute_force(q, n, k, ksub):
         hits += 1
     with pytest.raises(NotASubcode):
         min_weight_relative(sub, big)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_scan_route_returns_the_reference_witness_of_the_lowest_level(q):
+    """The scan route of lowest climbs levels that each ask for a word of
+    weight w.  Every lower weight is proven absent by then, so the first
+    level that finds a word finds the lowest weight, and its witness is the
+    reference scan's at that level."""
+    f = field_for_order(q)
+    rng = random.Random(500 + q)
+    for seed in range(6):
+        n = rng.randint(5, 7)
+        big = random_code(f, n, rng.randint(2, 4), rng)
+        sub = linear_code(f, rng.sample(all_codewords(big), rng.randint(1, big.k - 1)), n)
+        budget = SearchBudget(enum=1, support=10**12, samples=0, seed=seed)
+        for s, brute in ((None, brute_min_weight(big)),
+                         (sub, brute_min_weight_relative(big, sub))):
+            got = WordSearch(big, s).lowest(budget, tag=0x31)
+            assert got.exact and got.value == brute, (big, s)
+            ref = oracles.scan_level(
+                f, big.parity_matrix, brute, seed, sub=None if s is None else s.parity_matrix
+            )
+            assert got.witness == ref.witness, (big, s)
 
 
 def test_raising_a_budget_keeps_an_exact_minimum():
