@@ -329,6 +329,15 @@ def conjugate(field: FieldTable, a: int) -> int:
     return field.exp_table[(field.log_table[a] * q0) % (field.q - 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def conjugate_table(field: FieldTable) -> np.ndarray:
+    """conjugate as a read-only uint8 table, entry a holding a**q: one gather
+    conjugates a whole matrix."""
+    table = np.array([conjugate(field, a) for a in range(field.q)], dtype=np.uint8)
+    table.setflags(write=False)
+    return table
+
+
 def norm(field: FieldTable, a: int) -> int:
     """a -> a**(q+1), mapping GF(q**2) onto its index-2 subfield."""
     q0 = subfield_order(field)

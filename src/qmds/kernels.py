@@ -2,7 +2,9 @@
 behind weight searches.
 
 Everything here stays exact.  The numpy paths take and return uint8 field
-elements.  Products go through gf_matmul, one float32 product mod p for every
+elements; rref and null_space take a 2-D uint8 matrix and return uint8
+arrays, and rref_null_space reads a kernel basis off a reduced matrix by
+slices and one table gather.  Products go through gf_matmul, one float32 product mod p for every
 field: over GF(p**m) it multiplies the base-p digits of the elements.  Every
 elimination (rref, batch_rank and the prefix tree) goes through
 rank_one_update, the one place that picks its arithmetic: integers reduced
@@ -87,21 +89,21 @@ def _reduce_float32(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns), the rows as
-    lists of Python ints.
+def rref(field, mat: np.ndarray):
+    """Reduced row echelon form of a 2-D uint8 matrix.  Returns (red,
+    pivots): red a new uint8 (rank, ncols) array, pivots its pivot columns.
 
-    Eliminates a uint8 copy: each pivot clears its column from every other
-    row in one rank_one_update.
+    Eliminates a copy: each pivot clears its column from every other row in
+    one rank_one_update.
     """
-    if not len(rows):
-        return [], []
     t = field.np_tables()
-    mat = np.array(rows, dtype=np.uint8)
+    mat = np.array(mat, dtype=np.uint8)
     nrows, ncols = mat.shape
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         # any nonzero entry may pivot: the reduced form is unique
         pr = r + int(mat[r:, c].argmax())
         lead = mat[pr, c]
@@ -115,30 +117,24 @@ def rref(field, rows):
         mat[r, c:] = top
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return mat[:r].tolist(), pivots
+    return mat[:r], pivots
 
 
-def null_space(field, rows, ncols: int):
-    """Basis of the right kernel {v : rows @ v = 0}, vectors of length ncols."""
-    red, pivots = rref(field, rows)
-    return rref_null_space(field, red, pivots, ncols)
+def null_space(field, mat: np.ndarray) -> np.ndarray:
+    """Basis of the right kernel {v : mat @ v = 0} of a 2-D uint8 matrix,
+    as the rows of a uint8 (ncols - rank, ncols) array."""
+    return rref_null_space(field, *rref(field, mat))
 
 
-def rref_null_space(field, red, pivots, ncols: int):
-    """null_space of rows already in reduced row echelon form, whose
-    pivot columns are given: one basis vector per free column."""
-    in_pivots = set(pivots)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in in_pivots:
-            continue
-        v = [0] * ncols
-        v[fcol] = 1
-        for rrow, pcol in zip(red, pivots):
-            v[pcol] = field.neg(rrow[fcol])
-        basis.append(v)
+def rref_null_space(field, red: np.ndarray, pivots) -> np.ndarray:
+    """null_space of a uint8 matrix in reduced row echelon form with the
+    given pivot columns: the identity on the free columns, and minus red's
+    free columns on the pivot columns."""
+    ncols = red.shape[1]
+    free = np.delete(np.arange(ncols), pivots)
+    basis = np.zeros((len(free), ncols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.np_tables().neg[red[:, free]].T
     return basis
 
 
@@ -508,7 +504,7 @@ def probe_support(field, parity, support, sub, seed, tag):
     candidates, and so (None, True).
     """
     cols = list(support)
-    basis = null_space(field, parity[:, cols], len(cols))
+    basis = null_space(field, parity[:, cols])
     sub_cols = None if sub is None else sub[:, cols].T
     exhaustive = projective_count(field.q, len(basis)) <= SUBSCAN_EXACT_CAP
     if exhaustive:
@@ -570,10 +566,9 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
                 return ScanOutcome(None, counter, False, False), exhaustive
             vec, exact = probe_support(field, parity, support, sub, seed, (w << 32) | counter)
             if vec is not None:
-                full = [0] * n
-                for pos, val in zip(support, vec):
-                    full[pos] = val
-                return ScanOutcome(tuple(full), counter + 1, False, False), exhaustive
+                full = np.zeros(n, dtype=np.uint8)
+                full[list(support)] = vec
+                return ScanOutcome(tuple(full.tolist()), counter + 1, False, False), exhaustive
             exhaustive = exhaustive and exact
         return ScanOutcome(None, math.comb(n, w), True, exhaustive), exhaustive
 

@@ -1,11 +1,13 @@
 """Linear codes over small fields: construction, duality, and exact or
 budget-bounded weight searches.
 
-A LinearCode stores its generator matrix in reduced row echelon form, so two
-codes are equal exactly when they have the same row space over the same
-field.  The exact linear algebra runs in the kernels: membership is a
-syndrome product against the parity rows, one gf_matmul per batch of rows,
-and the rows that extend a subcode's basis come from one rref.
+A LinearCode is its field and one read-only uint8 generator matrix in
+reduced row echelon form, so two codes are equal exactly when they have the
+same row space over the same field.  Derived codes are slices and table
+gathers of that matrix.  The exact linear algebra runs in the kernels:
+membership is a syndrome product against the parity matrix, one gf_matmul
+per batch of rows, and the rows that extend a subcode's basis come from one
+rref.
 """
 
 from __future__ import annotations
@@ -29,39 +31,51 @@ from .errors import (
     TooLarge,
     ZeroDimensional,
 )
-from .gf import FieldTable, conjugate, embed
+from .gf import FieldTable, conjugate, conjugate_table, embed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
+    """A linear [n, k] code: its field and its generator matrix, a read-only
+    uint8 (k, n) array in reduced row echelon form.  Codes compare and hash
+    by the field and the matrix, shape included."""
+
     field: FieldTable
-    n: int
-    gen: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def k(self) -> int:
-        return len(self.gen)
+        return self.matrix.shape[0]
 
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.gen)
+    def _key(self):
+        return self.field, self.matrix.shape, self.matrix.tobytes()
 
-    @cached_property
-    def parity_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(v)
-            for v in kernels.rref_null_space(self.field, self.gen, self.pivots, self.n)
-        )
+    def __eq__(self, other):
+        return isinstance(other, LinearCode) and self._key() == other._key()
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The generator rows as a read-only uint8 (k, n) array."""
-        return _frozen(self.gen, self.n)
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def parity_matrix(self) -> np.ndarray:
-        """The parity rows as a read-only uint8 (n - k, n) array."""
-        return _frozen(self.parity_rows, self.n)
+        """A read-only uint8 (n - k, n) basis of the dual code, read off the
+        reduced matrix and its pivots without another elimination."""
+        pivots = (self.matrix != 0).argmax(axis=1)
+        return _frozen(kernels.rref_null_space(self.field, self.matrix, pivots))
+
+    @cached_property
+    def gen(self) -> tuple[tuple[int, ...], ...]:
+        """The generator rows as tuples of Python ints, for outside callers."""
+        return tuple(map(tuple, self.matrix.tolist()))
+
+    @cached_property
+    def parity_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The parity rows as tuples of Python ints, as gen."""
+        return tuple(map(tuple, self.parity_matrix.tolist()))
 
     def __repr__(self):
         return f"[{self.n},{self.k}] over GF({self.field.q})"
@@ -69,7 +83,7 @@ class LinearCode:
     def syndromes(self, rows) -> np.ndarray:
         """rows @ parity_matrix^T, one gf_matmul for the batch: a row is a
         code word exactly when its syndrome is zero."""
-        mat = np.array(rows, dtype=np.uint8).reshape(len(rows), self.n)
+        mat = np.asarray(rows, dtype=np.uint8)
         return kernels.gf_matmul(self.field, mat, self.parity_matrix.T)
 
     def contains(self, vec) -> bool:
@@ -81,8 +95,9 @@ class LinearCode:
         """True when the twisted shift c -> (a*c[n-1], c[0], ..., c[n-2])
         maps the code into itself: one syndrome product of the shifted
         generator rows."""
-        mul = self.field.mul
-        return not self.syndromes([(mul(a, row[-1]),) + row[:-1] for row in self.gen]).any()
+        shifted = np.roll(self.matrix, 1, axis=1)
+        shifted[:, 0] = self.field.np_tables().mul[a, self.matrix[:, -1]]
+        return not self.syndromes(shifted).any()
 
     @cached_property
     def twisted_shift(self) -> int | None:
@@ -96,28 +111,30 @@ class LinearCode:
         return next((a for a in units if self.shift_closed(a)), None)
 
 
-def _frozen(rows, n: int) -> np.ndarray:
-    mat = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+def _frozen(mat: np.ndarray) -> np.ndarray:
     mat.setflags(write=False)
     return mat
 
 
 def linear_code(field: FieldTable, rows, n: int | None = None) -> LinearCode:
-    rows = [tuple(r) for r in rows]
+    """The span of rows (a list of rows or a 2-D array) of length n, by default the first row's."""
     if n is None:
-        if not rows:
+        if not len(rows):
             raise LengthMismatch("cannot infer length from an empty row list")
         n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise LengthMismatch("ragged generator rows")
-    if any(not (0 <= x < field.q) for r in rows for x in r):
+    # range-checked before the uint8 cast, which would wrap 256 to 0
+    mat = np.asarray(rows).reshape(len(rows), n)
+    if mat.size and (mat.min() < 0 or mat.max() >= field.q):
         raise FieldMismatch(f"entry outside GF({field.q})")
-    red, _ = kernels.rref(field, rows)
-    return LinearCode(field, n, tuple(tuple(r) for r in red))
+    red, _ = kernels.rref(field, mat)
+    return LinearCode(field, _frozen(red))
 
 
 def code_from_parity(field: FieldTable, rows, n: int) -> LinearCode:
-    return linear_code(field, kernels.null_space(field, rows, n), n)
+    mat = np.asarray(rows, dtype=np.uint8).reshape(len(rows), n)
+    return linear_code(field, kernels.null_space(field, mat), n)
 
 
 def hermitian_inner(field: FieldTable, u, v) -> int:
@@ -133,13 +150,10 @@ def hermitian_inner(field: FieldTable, u, v) -> int:
 def dual(code: LinearCode, kind: str = "euclidean") -> LinearCode:
     """Euclidean or Hermitian dual code."""
     if kind == "euclidean":
-        return linear_code(code.field, code.parity_rows, code.n)
+        return linear_code(code.field, code.parity_matrix, code.n)
     if kind == "hermitian":
-        f = code.field
-        rows = [
-            tuple(conjugate(f, x) for x in row) for row in code.parity_rows
-        ]
-        return linear_code(f, rows, code.n)
+        rows = conjugate_table(code.field)[code.parity_matrix]
+        return linear_code(code.field, rows, code.n)
     raise QmdsError(f"unknown dual kind {kind!r}")
 
 
@@ -148,7 +162,7 @@ def is_subcode(sub: LinearCode, sup: LinearCode) -> bool:
         raise FieldMismatch("codes over different fields")
     if sub.n != sup.n:
         raise LengthMismatch("codes of different lengths")
-    return not sup.syndromes(sub.gen).any()
+    return not sup.syndromes(sub.matrix).any()
 
 
 def _check_coords(n: int, coords) -> tuple[int, ...]:
@@ -168,12 +182,9 @@ def words_supported_in(code: LinearCode, support) -> LinearCode:
     f = code.field
     if not outside or code.k == 0:
         return code
-    cols = [[row[j] for j in outside] for row in code.gen]
-    msgs = kernels.null_space(f, [list(c) for c in zip(*cols)], code.k)
-    words = kernels.gf_matmul(
-        f, np.array(msgs, dtype=np.uint8).reshape(len(msgs), code.k), code.matrix
-    )
-    return linear_code(f, words.tolist(), code.n)
+    # the messages whose words vanish on every outside column
+    msgs = kernels.null_space(f, code.matrix[:, outside].T)
+    return linear_code(f, kernels.gf_matmul(f, msgs, code.matrix), code.n)
 
 
 def shorten(code: LinearCode, coords) -> LinearCode:
@@ -181,14 +192,14 @@ def shorten(code: LinearCode, coords) -> LinearCode:
     coords = _check_coords(code.n, coords)
     keep = [j for j in range(code.n) if j not in set(coords)]
     sub = words_supported_in(code, keep)
-    return linear_code(code.field, [[r[j] for j in keep] for r in sub.gen], len(keep))
+    return linear_code(code.field, sub.matrix[:, keep], len(keep))
 
 
 def puncture(code: LinearCode, coords) -> LinearCode:
     """Delete the given coordinates from every word."""
     coords = _check_coords(code.n, coords)
     keep = [j for j in range(code.n) if j not in set(coords)]
-    return linear_code(code.field, [[r[j] for j in keep] for r in code.gen], len(keep))
+    return linear_code(code.field, code.matrix[:, keep], len(keep))
 
 
 def subfield_subcode(code: LinearCode, small: FieldTable) -> LinearCode:
@@ -200,11 +211,10 @@ def subfield_subcode(code: LinearCode, small: FieldTable) -> LinearCode:
             f"GF({big.q}) is not a quadratic extension of GF({small.q})"
         )
     emb = embed(small, big)
-    split_parity = []
-    for row in code.parity_rows:
-        # the c0 and the c1 coordinates of the row, as two rows
-        split_parity.extend(zip(*(emb.coords2(x) for x in row)))
-    return code_from_parity(small, split_parity, code.n)
+    coords = np.array([emb.coords2(x) for x in range(big.q)], dtype=np.uint8)
+    # each parity row becomes two: its c0 and its c1 coordinates
+    split = coords[code.parity_matrix].transpose(0, 2, 1)
+    return code_from_parity(small, split.reshape(-1, code.n), code.n)
 
 
 def mds_verify(code: LinearCode) -> bool:
@@ -252,24 +262,19 @@ class WeightResult:
 def _mds_witness(code: LinearCode) -> tuple:
     """A word of weight n - k + 1 in a verified MDS code."""
     d = code.n - code.k + 1
-    sub = words_supported_in(code, range(d))
-    vec = sub.gen[0]
-    if sum(1 for x in vec if x) != d:
+    vec = words_supported_in(code, range(d)).matrix[0]
+    if np.count_nonzero(vec) != d:
         raise Contradiction(f"MDS word on the first {d} positions has another weight")
-    return tuple(vec)
+    return tuple(vec.tolist())
 
 
-def _extension_rows(big: LinearCode, sub: LinearCode):
-    """Rows of big.gen completing a basis of big over the subcode: the first
-    rows, in order, that are independent of sub and of the rows before them.
-    Those are the pivot columns past sub.k of [sub.gen; big.gen]^T."""
-    cols = np.array(sub.gen + big.gen, dtype=np.uint8).T
-    _, pivots = kernels.rref(big.field, cols)
-    return [big.gen[c - sub.k] for c in pivots if c >= sub.k]
-
-
-def _weight(word) -> int:
-    return sum(1 for x in word if x)
+def _extension_rows(big: LinearCode, sub: LinearCode) -> np.ndarray:
+    """Rows of big.matrix completing a basis of big over the subcode: the
+    first rows, in order, that are independent of sub and of the rows before
+    them.  Those are the pivot columns past sub.k of [sub.matrix;
+    big.matrix]^T."""
+    _, pivots = kernels.rref(big.field, np.concatenate((sub.matrix, big.matrix)).T)
+    return big.matrix[[c - sub.k for c in pivots if c >= sub.k]]
 
 
 class WordSearch:
@@ -294,10 +299,10 @@ class WordSearch:
         self.sampled: tuple[int, int, int] | None = None
 
     @cached_property
-    def rows(self) -> list[tuple[int, ...]]:
+    def rows(self) -> np.ndarray:
         if self.sub is None:
-            return list(self.code.gen)
-        return _extension_rows(self.code, self.sub) + list(self.sub.gen)
+            return self.code.matrix
+        return np.concatenate((_extension_rows(self.code, self.sub), self.sub.matrix))
 
     @property
     def enum_cost(self) -> int:
@@ -307,13 +312,14 @@ class WordSearch:
         return q ** (self.code.k - self.leads) * kernels.projective_count(q, self.leads)
 
     def record(self, word) -> None:
-        self.found.setdefault(_weight(word), tuple(int(x) for x in word))
+        word = np.asarray(word)
+        self.found.setdefault(np.count_nonzero(word), tuple(word.tolist()))
 
     def _record_found(self, weights: np.ndarray, words: np.ndarray) -> None:
         for w in np.flatnonzero(np.bincount(weights)).tolist():
             if w and w not in self.found:
                 i = int(np.argmax(weights == w))
-                self.found[w] = tuple(int(x) for x in words[i])
+                self.found[w] = tuple(words[i].tolist())
 
     def enumerate(self) -> None:
         """Every word once up to scalars: exact counts and every weight."""
@@ -409,10 +415,7 @@ def min_weight_relative(
     When the two codes coincide the set is empty and the result has status
     "undefined".
     """
-    if big.field is not sub.field:
-        raise FieldMismatch("codes over different fields")
-    if big.n != sub.n:
-        raise LengthMismatch("codes of different lengths")
+    # is_subcode raises FieldMismatch or LengthMismatch first
     if not is_subcode(sub, big):
         raise NotASubcode("second argument is not a subcode of the first")
     if big.k == sub.k:

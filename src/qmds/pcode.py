@@ -25,7 +25,7 @@ from .errors import (
     NotSelfOrthogonal,
     ZeroWord,
 )
-from .gf import build_field, conjugate, embed, norm_preimage, subfield_order
+from .gf import build_field, conjugate_table, embed, norm_preimage, subfield_order
 from .linalg import (
     LinearCode,
     WordSearch,
@@ -35,25 +35,18 @@ from .linalg import (
 )
 
 
-def _conj_gen(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-    """(conj(G), G) for the generator matrix G, as uint8 arrays."""
-    f = code.field
-    conj = np.array([conjugate(f, v) for v in range(f.q)], dtype=np.uint8)
-    return conj[code.matrix], code.matrix
-
-
 def _product_rows(code: LinearCode) -> np.ndarray:
     """All componentwise conj(b_i) * b_j over generator pairs, row i*k + j."""
-    conj_gen, gen = _conj_gen(code)
-    prods = code.field.np_tables().mul[conj_gen[:, None, :], gen[None, :, :]]
+    conj_gen = conjugate_table(code.field)[code.matrix]
+    prods = code.field.np_tables().mul[conj_gen[:, None, :], code.matrix[None, :, :]]
     return prods.reshape(-1, code.n)
 
 
 def _hermitian_gram(code: LinearCode, weights: np.ndarray) -> np.ndarray:
     """conj(G) diag(weights) G^T: entry (i, j) is sum_t w_t conj(b_i,t) b_j,t."""
-    conj_gen, gen = _conj_gen(code)
+    conj_gen = conjugate_table(code.field)[code.matrix]
     weighted = code.field.np_tables().mul[conj_gen, weights[None, :]]
-    return kernels.gf_matmul(code.field, weighted, gen.T)
+    return kernels.gf_matmul(code.field, weighted, code.matrix.T)
 
 
 class PunctureCode(WordSearch):
@@ -222,8 +215,8 @@ def rescale_self_orthogonal(code: LinearCode, x) -> LinearCode:
         raise NotInPunctureCode("word fails the product pairing test")
     emb = embed(small, big)
     support = [t for t, v in enumerate(x) if v]
-    ys = [norm_preimage(big, emb.map(x[t])) for t in support]
-    rows = [[big.mul(y, row[t]) for y, t in zip(ys, support)] for row in code.gen]
+    ys = np.array([norm_preimage(big, emb.map(x[t])) for t in support], dtype=np.uint8)
+    rows = big.np_tables().mul[code.matrix[:, support], ys]
     d_code = linear_code(big, rows, len(support))
     if _hermitian_gram(d_code, np.ones(d_code.n, dtype=np.uint8)).any():
         raise NotSelfOrthogonal("rescaled code is not self-orthogonal")

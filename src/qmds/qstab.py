@@ -14,6 +14,8 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .ccodes import ConstacyclicSpec, bch_ht_bound, build_code, mds_spec
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
 from .gf import (
     _prime_power_parts,
     build_field,
-    conjugate,
+    conjugate_table,
     embed,
     field_for_order,
     norm,
@@ -321,24 +323,21 @@ def norm_triple_code(m: int):
     """The length-q**2+2 code C over GF(q**2), q = 2**m, of the norm-triple
     construction, with its P(C).
 
-    Returns (H, C, P).  Parity row e of H holds alpha**(e*j) at the q**2 - 1
-    positions j, then a 1 in tail coordinate e.  C, spanned by the conjugated
-    rows, is checked to be the Hermitian dual of the code H defines; P is
-    P(C) by the direct route.
+    Returns (H, C, P), H a uint8 array.  Parity row e of H holds
+    alpha**(e*j) at the q**2 - 1 positions j, then a 1 in tail coordinate e.
+    C, spanned by the conjugated rows, is checked to be the Hermitian dual of
+    the code H defines; P is P(C) by the direct route.
     """
     if not (1 <= m <= 4):
         raise UnsupportedAlphabet(f"alphabet 2**m needs 1 <= m <= 4, got {m}")
     big = build_field(2, 2 * m)
     q = 2**m
     n = q * q + 2
-    alpha = big.generator
-    hrows = []
-    for e in range(3):
-        row = [big.pow(alpha, e * j) for j in range(q * q - 1)]
-        tail = [0, 0, 0]
-        tail[e] = 1
-        hrows.append(row + tail)
-    c_code = linear_code(big, [[conjugate(big, x) for x in row] for row in hrows], n)
+    # alpha = exp_table[1], so alpha**(e*j) is exp_table[e*j mod (q**2 - 1)]
+    logs = np.arange(3)[:, None] * np.arange(q * q - 1) % (big.q - 1)
+    powers = np.array(big.exp_table, dtype=np.uint8)[logs]
+    hrows = np.hstack((powers, np.eye(3, dtype=np.uint8)))
+    c_code = linear_code(big, conjugate_table(big)[hrows], n)
     if c_code.k != 3:
         raise Contradiction(f"norm-triple code has dimension {c_code.k}, not 3")
     cstar = code_from_parity(big, hrows, n)
@@ -360,37 +359,24 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
     q = small.q
     n = c_code.n
     emb = embed(small, big)
-    norm_profiles = []
-    for row in hrows:
-        prof = []
-        for x in row:
-            nv = emb.section(norm(big, x))
-            prof.append(small.inv(nv) if nv else 0)
-        if q > 2:
-            # individually these rows sit in P(C) only when the inverted
-            # norm beta generates a nontrivial subgroup; over GF(2) just
-            # the combination built below lands in P(C)
-            if not pc.base.contains(prof):
-                raise Contradiction("norm profile is not in the puncture code")
-        norm_profiles.append(prof)
-    coeff = None
-    for g1 in range(q):
-        for g0 in range(q):
-            if all(
-                small.add(small.add(small.mul(t, t), small.mul(g1, t)), g0)
-                for t in range(q)
-            ):
-                coeff = (g0, g1)
-                break
-        if coeff:
-            break
+    tab = small.np_tables()
+    # row e of the profiles holds the inverted subfield norms of row e of H
+    inv_norm = tab.inv[[emb.section(norm(big, x)) for x in range(big.q)]]
+    profiles = inv_norm[hrows]
+    # individually these rows sit in P(C) only when the inverted norm beta
+    # generates a nontrivial subgroup; over GF(2) just the combination built
+    # below lands in P(C)
+    if q > 2 and pc.base.syndromes(profiles).any():
+        raise Contradiction("norm profile is not in the puncture code")
+    ts = np.arange(q)
+    # the first x**2 + g1*x + g0, by g1 then g0, with no root in the subfield
+    coeff = next(((g0, g1) for g1 in range(q) for g0 in range(q)
+                  if tab.add[tab.add[tab.mul[ts, ts], tab.mul[g1, ts]], g0].all()), None)
     if coeff is None:
         raise Contradiction("no combination of the norm profiles has full weight")
     g0, g1 = coeff
-    x = [
-        small.add(small.add(small.mul(g0, a), small.mul(g1, b)), c)
-        for a, b, c in zip(*norm_profiles)
-    ]
+    combo = tab.add[tab.add[tab.mul[g0, profiles[0]], tab.mul[g1, profiles[1]]], profiles[2]]
+    x = combo.tolist()
     if not (all(x) and pc.base.contains(x)):
         raise Contradiction("norm-triple witness is not a full-weight word of P(C)")
     d_code = rescale_self_orthogonal(c_code, tuple(x))

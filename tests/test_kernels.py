@@ -64,6 +64,12 @@ def rank_deficient_mat(rng, f, rows, cols, rank):
     return [list(scalar_encode(f, row, right)) for row in left]
 
 
+def as_matrix(rows):
+    """A list of rows as the 2-D uint8 array the kernels take, (0, 0) when
+    there are none."""
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), len(rows[0]) if rows else 0)
+
+
 def scalar_encode(f, msg, gen):
     """sum_j msg[j] * gen[j], one field operation at a time."""
     word = [0] * len(gen[0])
@@ -176,9 +182,10 @@ def rref_cases(rng, f):
 def test_rref_matches_scalar_reference(f):
     rng = random.Random(40 + f.q)
     for rows in rref_cases(rng, f):
-        red, pivots = rref(f, rows)
-        assert (red, pivots) == oracles.rref(f, rows)
-        assert all(type(x) is int for row in red for x in row)
+        mat = as_matrix(rows)
+        red, pivots = rref(f, mat)
+        assert red.dtype == np.uint8 and red.shape == (len(pivots), mat.shape[1])
+        assert (red.tolist(), pivots) == oracles.rref(f, rows)
         assert type(pivots) is list and all(type(c) is int for c in pivots)
 
 
@@ -187,7 +194,9 @@ def test_rref_shape_and_row_space(f):
     rng = random.Random(10 + f.q)
     for _ in range(25):
         rows = rand_mat(rng, f, 4, 6)
-        red, pivots = rref(f, rows)
+        red, pivots = rref(f, as_matrix(rows))
+        assert red.dtype == np.uint8 and red.shape == (len(pivots), 6)
+        red = red.tolist()
         assert len(red) == len(pivots) == oracles._rank(f, rows)
         assert pivots == sorted(pivots)
         for i, (row, pc) in enumerate(zip(red, pivots)):
@@ -207,8 +216,9 @@ def test_null_space_annihilates_and_fills(f):
     rng = random.Random(20 + f.q)
     for _ in range(25):
         rows = rand_mat(rng, f, 3, 7)
-        basis = null_space(f, rows, 7)
-        assert len(basis) == 7 - oracles._rank(f, rows)
+        basis = null_space(f, as_matrix(rows))
+        assert basis.dtype == np.uint8 and basis.shape == (7 - oracles._rank(f, rows), 7)
+        basis = basis.tolist()
         for v in basis:
             for row in rows:
                 acc = 0
@@ -217,7 +227,7 @@ def test_null_space_annihilates_and_fills(f):
                 assert acc == 0
         assert oracles._rank(f, basis) == len(basis)
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert null_space(f, eye, 4) == []
+    assert null_space(f, as_matrix(eye)).shape == (0, 4)
 
 
 # GF(11) and GF(13) are past the uint8 bound of the mod-p elimination and
@@ -857,7 +867,8 @@ def test_sampled_probe_takes_one_philox_draw():
     # draw of philox(seed, tag), in order
     parity = np.array([[1, 2, 3, 4, 1, 2, 3, 4, 1]], dtype=np.uint8)
     support = tuple(range(9))
-    basis = null_space(F5, parity, 9)
+    basis = null_space(F5, parity)
+    assert basis.dtype == np.uint8 and basis.shape == (8, 9)
     assert projective_count(5, len(basis)) > SUBSCAN_EXACT_CAP
     for seed, tag in ((3, 1), (7, (9 << 32) | 5)):
         msgs = philox(seed, tag).integers(

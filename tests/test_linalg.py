@@ -1,5 +1,6 @@
 """Linear codes: duals, derived codes, MDS checks, weight searches."""
 
+import itertools
 import random
 
 import numpy as np
@@ -91,8 +92,18 @@ def test_linear_code_basics():
         c.contains((1, 0))
     with pytest.raises(LengthMismatch):
         linear_code(f, [(1, 0), (1, 0, 1)])
+    with pytest.raises(LengthMismatch):
+        linear_code(f, [(1, 0, 1), (1, 0)], 3)
     with pytest.raises(FieldMismatch):
         linear_code(f, [(0, 2, 0)])
+    # out-of-range entries are refused before any uint8 cast could wrap
+    # them into range: 256 to 0 and -1 to 255, an element of GF(256)
+    for field in (f, build_field(2, 8)):
+        for bad in (256, -1):
+            rows = [(1, bad, 0), (0, 1, 1)]
+            for given in (rows, np.array(rows, dtype=np.int64)):
+                with pytest.raises(FieldMismatch):
+                    linear_code(field, given)
     assert linear_code(f, [(1, 1), (1, 1)]).k == 1
 
 
@@ -140,8 +151,9 @@ def test_parity_rows_equal_null_space_of_generator(q):
     for n in (1, 4, 7):
         for k in range(n + 1):  # k = 0 and k = n included
             code = random_code(f, n, k, rng)
-            want = tuple(tuple(v) for v in null_space(f, code.gen, n))
-            assert code.parity_rows == want, (n, k)
+            want = null_space(f, code.matrix)
+            assert want.dtype == np.uint8 and want.shape == (n - k, n)
+            assert [list(r) for r in code.parity_rows] == want.tolist(), (n, k)
 
 
 def test_matrices_are_read_only_copies_of_the_rows():
@@ -154,6 +166,25 @@ def test_matrices_are_read_only_copies_of_the_rows():
             with pytest.raises(ValueError):
                 mat[...] = 0
         assert code.matrix is code.matrix
+    # gen and parity_rows are views of plain Python ints, and a code is its
+    # row space: other generator rows of it give an equal code, equal hash
+    rng = random.Random(7)
+    fields = (f, build_field(5), build_field(2, 6))
+    for field in fields:
+        for n, k in ((5, 2), (6, 3)):
+            code = random_code(field, n, k, rng)
+            for view in (code.gen, code.parity_rows):
+                assert all(type(x) is int for row in view for x in row)
+            a, b = (rng.randrange(1, field.q) for _ in range(2))
+            rows = [combine(field, code.gen, (a, b, 1), n), combine(field, code.gen, (0, a), n),
+                    combine(field, code.gen, (0, 0, b), n)]
+            again = linear_code(field, rows, n)
+            assert again == code and hash(again) == hash(code)
+    # the same matrix bytes over another field or in another shape (another
+    # length) make another code
+    same_bytes = [linear_code(field, rows, n) for field in fields
+                  for rows, n in (([(1, 0, 0, 1)], 4), ([(1, 0), (0, 1)], 2), ([], 2), ([], 3))]
+    assert all(x != y for x, y in itertools.combinations(same_bytes, 2))
 
 
 def test_code_from_parity_matches_dual():
@@ -454,9 +485,10 @@ def test_extension_rows_match_greedy_oracle(p, m):
             # which makes the greedy pass skip rows
             for sub in (random_subcode(f, c, j, rng),
                         linear_code(f, c.gen[c.k - j:], c.n)):
-                want = [tuple(r) for r in oracles.extension_rows(c, sub)]
-                assert _extension_rows(c, sub) == want
-                assert len(want) == c.k - sub.k
+                want = oracles.extension_rows(c, sub)
+                got = _extension_rows(c, sub)
+                assert got.dtype == np.uint8 and got.shape == (c.k - sub.k, c.n)
+                assert got.tolist() == want
 
 
 def test_is_subcode():
