@@ -83,8 +83,7 @@ class LinearCode:
     def syndromes(self, rows) -> np.ndarray:
         """rows @ parity_matrix^T, one gf_matmul for the batch: a row is a
         code word exactly when its syndrome is zero."""
-        mat = np.asarray(rows, dtype=np.uint8)
-        return kernels.gf_matmul(self.field, mat, self.parity_matrix.T)
+        return kernels.gf_matmul(self.field, _elements(self.field, rows), self.parity_matrix.T)
 
     def contains(self, vec) -> bool:
         if len(vec) != self.n:
@@ -111,6 +110,16 @@ class LinearCode:
         return next((a for a in units if self.shift_closed(a)), None)
 
 
+def _elements(field: FieldTable, rows) -> np.ndarray:
+    """rows as a uint8 array of field elements.  Entries are range-checked
+    first: the cast would wrap 256 to 0 and -1 to 255, and the mod-p
+    product would read 3 as 0 over GF(3)."""
+    mat = np.asarray(rows)
+    if mat.size and (mat.min() < 0 or mat.max() >= field.q):
+        raise FieldMismatch(f"entry outside GF({field.q})")
+    return mat.astype(np.uint8, copy=False)
+
+
 def _frozen(mat: np.ndarray) -> np.ndarray:
     mat.setflags(write=False)
     return mat
@@ -124,16 +133,12 @@ def linear_code(field: FieldTable, rows, n: int | None = None) -> LinearCode:
         n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise LengthMismatch("ragged generator rows")
-    # range-checked before the uint8 cast, which would wrap 256 to 0
-    mat = np.asarray(rows).reshape(len(rows), n)
-    if mat.size and (mat.min() < 0 or mat.max() >= field.q):
-        raise FieldMismatch(f"entry outside GF({field.q})")
-    red, _ = kernels.rref(field, mat)
+    red, _ = kernels.rref(field, _elements(field, np.asarray(rows).reshape(len(rows), n)))
     return LinearCode(field, _frozen(red))
 
 
 def code_from_parity(field: FieldTable, rows, n: int) -> LinearCode:
-    mat = np.asarray(rows, dtype=np.uint8).reshape(len(rows), n)
+    mat = _elements(field, np.asarray(rows).reshape(len(rows), n))
     return linear_code(field, kernels.null_space(field, mat), n)
 
 
@@ -315,12 +320,6 @@ class WordSearch:
         word = np.asarray(word)
         self.found.setdefault(np.count_nonzero(word), tuple(word.tolist()))
 
-    def _record_found(self, weights: np.ndarray, words: np.ndarray) -> None:
-        for w in np.flatnonzero(np.bincount(weights)).tolist():
-            if w and w not in self.found:
-                i = int(np.argmax(weights == w))
-                self.found[w] = tuple(words[i].tolist())
-
     def enumerate(self) -> None:
         """Every word once up to scalars: exact counts and every weight."""
         if self.exact_counts is not None:
@@ -353,17 +352,35 @@ class WordSearch:
 
     def sample(self, budget: SearchBudget, tag: int, stop: int | None = None) -> None:
         """Record the first sampled word of each weight.  Stops after the
-        chunk that finds weight stop; only a full pass counts as sampled."""
+        chunk that finds weight stop; only a full pass counts as sampled.
+
+        A column of rows whose one nonzero entry lies in row i is nonzero
+        in m @ rows exactly when m_i is, so a word's weight is the count of
+        such unit columns on the message's support plus the nonzeros of
+        its product with the other columns, the only ones encoded.  A full
+        word is built only for the first message of each new weight.
+        """
         if self.sampled == (budget.samples, budget.seed, tag):
             return
-        for msgs, words in kernels.iter_sampled_words(
-            self.code.field, self.rows, budget.samples, budget.seed, tag=tag
+        rows = self.rows
+        nnz = np.count_nonzero(rows, axis=0)
+        units = (rows[:, nnz == 1] != 0).sum(axis=1, dtype=np.float32)
+        ones = np.ones(np.count_nonzero(nnz > 1), dtype=np.float32)
+        for msgs, rest in kernels.iter_sampled_words(
+            self.code.field, rows[:, nnz > 1], budget.samples, budget.seed, tag=tag
         ):
             if self.sub is not None:
                 # a word of the subcode has a zero lead message; without a
                 # subcode that is the zero word, which weight 0 ignores
-                words = words[msgs[:, :self.leads].any(axis=1)]
-            self._record_found((words != 0).sum(axis=1), words)
+                keep = msgs[:, :self.leads].any(axis=1)
+                msgs, rest = msgs[keep], rest[keep]
+            weights = ((msgs != 0) @ units + (rest != 0) @ ones).astype(np.intp)
+            new = [w for w in np.flatnonzero(np.bincount(weights)).tolist()
+                   if w and w not in self.found]
+            if new:
+                firsts = [int(np.argmax(weights == w)) for w in new]
+                words = kernels.gf_matmul(self.code.field, msgs[firsts], rows)
+                self.found.update(zip(new, map(tuple, words.tolist())))
             if stop in self.found:
                 return
         self.sampled = (budget.samples, budget.seed, tag)

@@ -34,7 +34,10 @@ multiplied over an extension field by the base-p digits of its elements:
 `qmds 8 4` at enum 1, no support scans and 4096 samples samples witnesses
 over GF(8), then rescales them and settles the distance over GF(64), and
 `weights 9 3` at the same budget samples over GF(9), an extension field of
-odd characteristic.
+odd characteristic.  The last one was recorded at commit a9dde9c, before
+the sampler read a word's weight off its message on unit columns:
+`--seed 7 qmds 5 4` runs the full 10**6-message sampling pass, with no
+subcode, on a Philox stream that no other case draws.
 """
 
 import hashlib
@@ -114,6 +117,9 @@ GOLDEN = [
     (("--budget-enum", "1", "--budget-support", "0", "--budget-samples", "4096",
       "weights", "9", "3"),
      "2c074d5e78a19739c39aab08de33e7ac3038060cc53c6b7c7ea964b64f86db0f", 3),
+    # the full default sampling pass on another seed's stream
+    (("--seed", "7", "qmds", "5", "4"),
+     "e5a70f8a26e095cf71e0dd72e4e9afdf40bcc6bf20b3ae76d975da9844930d37", 0),
 ]
 
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qmds.budgets import SearchBudget
+from qmds.budgets import SAMPLE_CHUNK, SearchBudget
 from qmds.errors import (
     BadCoordinate,
     FieldMismatch,
@@ -16,7 +16,7 @@ from qmds.errors import (
     ZeroDimensional,
 )
 from qmds.gf import build_field, field_for_order
-from qmds.kernels import null_space
+from qmds.kernels import iter_sampled_words, null_space
 from qmds.linalg import (
     WordSearch,
     _extension_rows,
@@ -105,6 +105,22 @@ def test_linear_code_basics():
                 with pytest.raises(FieldMismatch):
                     linear_code(field, given)
     assert linear_code(f, [(1, 1), (1, 1)]).k == 1
+
+
+def test_membership_refuses_entries_outside_the_field():
+    # over GF(3) the mod-3 product would read 3 as 0 and 4 as 1, so both
+    # vectors would pass as members of the span of (1,0,1) and (0,1,1)
+    c3 = linear_code(build_field(3), [(1, 0, 1), (0, 1, 1)])
+    c4 = linear_code(build_field(2, 2), [(1, 0, 1), (0, 1, 1)])
+    for c, vec in [(c3, (3, 0, 0)), (c3, (4, 1, 2)),
+                   (c4, (5, 0, 0)), (c4, (256, 0, 0)), (c4, (-1, 0, 0))]:
+        with pytest.raises(FieldMismatch):
+            c.contains(vec)
+        with pytest.raises(FieldMismatch):
+            c.syndromes([vec, (0, 0, 0)])
+        with pytest.raises(FieldMismatch):
+            code_from_parity(c.field, [vec], 3)
+    assert c3.contains((1, 2, 0)) and c4.contains((1, 1, 0))
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 7, 3), (3, 6, 2), (4, 5, 3), (5, 6, 2), (9, 4, 2)])
@@ -497,3 +513,67 @@ def test_is_subcode():
     small = linear_code(f, [(1, 1, 0)])
     assert is_subcode(small, big)
     assert not is_subcode(big, small)
+
+
+SAMPLE_COUNT = 2 * SAMPLE_CHUNK + 37
+
+
+def reference_sample(search, count, seed, tag, stop=None):
+    """What WordSearch.sample records, from full encoded words: the first
+    word of each weight in stream order, cut after the chunk that first
+    holds weight stop."""
+    found = {}
+    for msgs, words in iter_sampled_words(search.code.field, search.rows, count, seed, tag=tag):
+        if search.sub is not None:
+            words = words[msgs[:, :search.leads].any(axis=1)]
+        for word in words.tolist():
+            w = sum(1 for x in word if x)
+            if w:
+                found.setdefault(w, tuple(word))
+        if stop in found:
+            break
+    return found
+
+
+def sampled_found(code, sub, seed, stop=None):
+    search = WordSearch(code, sub)
+    search.sample(SearchBudget(samples=SAMPLE_COUNT, seed=seed), tag=0x5A, stop=stop)
+    return search, reference_sample(search, SAMPLE_COUNT, seed, 0x5A, stop)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 2), (3, 2)])
+def test_sample_matches_full_encoding(p, m):
+    f = build_field(p, m)
+    rng = random.Random(7 * p + m)
+    code = random_code(f, 9, 4, rng)
+    for sub in (None, random_subcode(f, code, 2, rng)):
+        search, want = sampled_found(code, sub, seed=p + m)
+        assert search.found == want and len(want) > 3
+        assert search.sampled == (SAMPLE_COUNT, p + m, 0x5A)
+        # stopping at each weight seen cuts after its first chunk, unsampled
+        for stop in want:
+            search, cut = sampled_found(code, sub, seed=p + m, stop=stop)
+            assert search.found == cut and stop in cut
+            assert search.sampled is None
+
+
+# RREF generators that are their own reduced form: unit columns scaled by
+# elements other than 1, two unit columns in one row, all-zero columns, and
+# identity generators, whose words are read off their messages alone
+HAND_BUILT = [
+    (5, 1, [(1, 0, 3, 0, 2), (0, 1, 0, 0, 4)]),
+    (3, 2, [(1, 0, 0, 5, 0, 7, 0), (0, 1, 0, 0, 0, 1, 4), (0, 0, 1, 2, 0, 3, 0)]),
+    (2, 2, [(1, 0, 2, 0), (0, 1, 0, 3)]),
+    (2, 2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    (5, 1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("p,m,rows", HAND_BUILT)
+def test_sample_matches_full_encoding_on_hand_built_generators(p, m, rows):
+    f = build_field(p, m)
+    code = linear_code(f, rows)
+    assert code.matrix.tolist() == [list(r) for r in rows]
+    for sub in (None, linear_code(f, rows[:1], code.n)):
+        search, want = sampled_found(code, sub, seed=11)
+        assert search.found == want
