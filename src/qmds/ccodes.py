@@ -28,7 +28,7 @@ from .gf import (
     field_for_order,
     poly_from_roots,
 )
-from .linalg import LinearCode, linear_code
+from .linalg import LinearCode, code_from_shorter, linear_code
 
 
 def _root_tower_degree(Q: int, n: int) -> int:
@@ -141,7 +141,13 @@ def mds_spec(Q: int, d: int) -> ConstacyclicSpec:
 
 
 def build_code(spec: ConstacyclicSpec) -> LinearCode:
-    """Materialize the spec as a generator-polynomial code."""
+    """Materialize the spec as a generator-polynomial code, by
+    code_from_shorter: from the k shifts of the generator polynomial g, or,
+    when k > deg g, as the kernel of the n - k shifts of the reversed check
+    polynomial h = (x**n - lambda) / g, lambda the shift constant.  A word
+    c = m*g has c*h = m*(x**n - lambda), whose coefficients of degree k to
+    n - 1 vanish: row j of the parity matrix reads off degree k + j.
+    """
     fld, n = spec.field, spec.n
     k = spec.k
     if k == 0:
@@ -156,9 +162,8 @@ def build_code(spec: ConstacyclicSpec) -> LinearCode:
             "defining set is not stable under the Galois action of GF"
             f"({fld.q}) inside GF({root.q})"
         ) from exc
-    coeffs = list(g.coeffs)
-    rows = [[0] * i + coeffs + [0] * (n - len(coeffs) - i) for i in range(k)]
-    code = linear_code(fld, rows, n)
+    code = code_from_shorter(fld, n, k, n - k, lambda: _shifts(g.coeffs, k, n),
+                             lambda: _shifts(_check_polynomial(spec, g)[::-1], n - k, n))
     if code.k != k:
         raise DescentFailure("generator polynomial does not have full rank span")
     if n <= 100:
@@ -166,10 +171,37 @@ def build_code(spec: ConstacyclicSpec) -> LinearCode:
     return code
 
 
-def _check_shift_closure(spec: ConstacyclicSpec, code: LinearCode) -> None:
+def _shifts(coeffs, count: int, n: int) -> list[list[int]]:
+    """The first count shifts of a coefficient list inside length n."""
+    return [[0] * i + list(coeffs) + [0] * (n - len(coeffs) - i) for i in range(count)]
+
+
+def _check_polynomial(spec: ConstacyclicSpec, g) -> list[int]:
+    """Coefficients, constant first, of the check polynomial
+    h = (x**n - lambda) / g over the spec's field, by long division.
+    Raises DescentFailure when g leaves a remainder: then it generates no
+    constacyclic code of length n."""
+    f, n = spec.field, spec.n
+    deg = g.degree
+    rem = [f.neg(_shift_constant(spec))] + [0] * (n - 1) + [1]
+    lead = f.inv(g.coeffs[-1])
+    h = [0] * (n - deg + 1)
+    for i in range(n - deg, -1, -1):
+        c = h[i] = f.mul(rem[i + deg], lead)
+        for j, gj in enumerate(g.coeffs):
+            rem[i + j] = f.sub(rem[i + j], f.mul(c, gj))
+    if any(rem[:deg]):
+        raise DescentFailure("generator polynomial does not divide x**n - lambda")
+    return h
+
+
+def _shift_constant(spec: ConstacyclicSpec) -> int:
     f = spec.field
-    a = f.pow(f.generator, spec.shift_log) if f.q > 2 else 1
-    if not code.shift_closed(a):
+    return f.pow(f.generator, spec.shift_log) if f.q > 2 else 1
+
+
+def _check_shift_closure(spec: ConstacyclicSpec, code: LinearCode) -> None:
+    if not code.shift_closed(_shift_constant(spec)):
         raise DescentFailure("constructed code is not closed under the twisted shift")
 
 
@@ -177,7 +209,10 @@ def bch_ht_bound(spec: ConstacyclicSpec) -> int:
     """Certified lower bound on the minimum distance from the defining set.
 
     Takes the best consecutive-run bound over all unit step sizes, extended
-    by shifted copies of the run when the second step size allows it.
+    by shifted copies of the run when the second step size allows it.  It
+    returns as soon as a bound reaches the Singleton ceiling |Z| + 1, above
+    which no bound on a nonzero code lies: an MDS spec's first run does.
+    A P(C) spec's bound lies below its ceiling, so its search runs in full.
     """
     n = spec.n
     z = set(spec.defining_set)
@@ -185,6 +220,7 @@ def bch_ht_bound(spec: ConstacyclicSpec) -> int:
         return 1
     if len(z) == n:
         return n + 1
+    ceiling = len(z) + 1
     best = 2
     run_ht = n <= 100
     for e1 in range(1, n):
@@ -196,8 +232,9 @@ def bch_ht_bound(spec: ConstacyclicSpec) -> int:
             ell = 1
             while (b + ell * e1) % n in z:
                 ell += 1
-            if ell + 1 > best:
-                best = ell + 1
+            best = max(best, ell + 1)
+            if best == ceiling:
+                return best
             if not run_ht:
                 continue
             for e2 in range(1, n):
@@ -206,8 +243,9 @@ def bch_ht_bound(spec: ConstacyclicSpec) -> int:
                 s = 0
                 while all((b + i * e1 + (s + 1) * e2) % n in z for i in range(ell)):
                     s += 1
-                if ell + 1 + s > best:
-                    best = ell + 1 + s
+                best = max(best, ell + 1 + s)
+            if best == ceiling:
+                return best
     return best
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 all verdicts as expected, 1 mismatch or contradiction,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -546,7 +547,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and the names a subcommand calls are looked up as it runs."""
     parser = _Parser(
         prog="qmds",
         description="Exact construction and verification of quantum MDS codes.",

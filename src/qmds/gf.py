@@ -423,13 +423,36 @@ def embed(small: FieldTable, big: FieldTable) -> SubfieldEmbedding:
         raise NotASubfield(f"GF({small.q}) does not embed in GF({big.q})")
     emb = SubfieldEmbedding(small, big)
     limit = small.q if small.q <= 81 else 16
-    for a in range(limit):
-        for b in range(limit):
-            if emb.map(small.add(a, b)) != big.add(emb.map(a), emb.map(b)):
-                raise Contradiction("embedding is not additive")
-            if emb.map(small.mul(a, b)) != big.mul(emb.map(a), emb.map(b)):
-                raise Contradiction("embedding is not multiplicative")
+    a, b = np.arange(limit)[:, None], np.arange(limit)
+    sums, prods = _sum_grid(small, a, b), _product_grid(small, a, b)
+    needed = np.zeros(small.q, dtype=bool)
+    needed[b] = needed[sums] = needed[prods] = True
+    img = np.zeros(small.q, dtype=np.int64)
+    img[needed] = [emb.map(x) for x in np.flatnonzero(needed).tolist()]
+    if (img[sums] != _sum_grid(big, img[a], img[b])).any():
+        raise Contradiction("embedding is not additive")
+    # products compare as big-field logs (-1 for zero), so no big table is
+    # converted: a product of images has log (log a + log b) mod (Q - 1)
+    log = np.array([big.log_table[v] for v in img.tolist()])
+    want = np.where((log[a] < 0) | (log[b] < 0), -1, (log[a] + log[b]) % (big.q - 1))
+    if (log[prods] != want).any():
+        raise Contradiction("embedding is not multiplicative")
     return emb
+
+
+def _sum_grid(field: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for broadcasting int arrays of elements, digit-wise mod p: the
+    digit of a at p**i is a // p**i mod p."""
+    p = field.p
+    xs = p ** np.arange(field.m)
+    return ((a[..., None] // xs + b[..., None] // xs) % p) @ xs
+
+
+def _product_grid(field: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for broadcasting int arrays of elements, by the exp/log tables
+    as arrays."""
+    exp, log = np.array(field.exp_table), np.array(field.log_table)
+    return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ behind weight searches.
 Everything here stays exact.  The numpy paths take and return uint8 field
 elements; rref and null_space take a 2-D uint8 matrix and return uint8
 arrays, and rref_null_space reads a kernel basis off a reduced matrix by
-slices and one table gather.  Products go through gf_matmul, one float32 product mod p for every
+slices and one table gather.  kernel_rref gives the kernel's own reduced
+form from one rref of the matrix with its columns reversed, so a code
+given by r parity rows is reduced in r pivots, not in one per dimension.
+Products go through gf_matmul, one float32 product mod p for every
 field: over GF(p**m) it multiplies the base-p digits of the elements.  Every
 elimination (rref, batch_rank and the prefix tree) goes through
 rank_one_update, the one place that picks its arithmetic: integers reduced
@@ -124,6 +127,24 @@ def null_space(field, mat: np.ndarray) -> np.ndarray:
     """Basis of the right kernel {v : mat @ v = 0} of a 2-D uint8 matrix,
     as the rows of a uint8 (ncols - rank, ncols) array."""
     return rref_null_space(field, *rref(field, mat))
+
+
+def kernel_rref(field, mat: np.ndarray) -> np.ndarray:
+    """The reduced row echelon form of the right kernel of a 2-D uint8
+    matrix, from one rref of mat with its columns reversed: as many pivots
+    as mat's rank, not the kernel's dimension.
+
+    The pivots of the reversed matrix are the lexicographically last basis
+    of the column matroid of mat's row space.  Their complement is the
+    lexicographically first basis of the dual matroid, the kernel: exactly
+    the kernel's RREF pivot columns.  The kernel basis read off the
+    reversed matrix is systematic on them: flipped back, each row leads
+    with a one on its own such column, and its other entries lie to the
+    right, on pivot columns of the reversed matrix.  That is the kernel's
+    unique RREF.
+    """
+    red, pivots = rref(field, np.asarray(mat)[:, ::-1])
+    return np.ascontiguousarray(rref_null_space(field, red, pivots)[::-1, ::-1])
 
 
 def rref_null_space(field, red: np.ndarray, pivots) -> np.ndarray:

@@ -4,7 +4,10 @@ budget-bounded weight searches.
 A LinearCode is its field and one read-only uint8 generator matrix in
 reduced row echelon form, so two codes are equal exactly when they have the
 same row space over the same field.  Derived codes are slices and table
-gathers of that matrix.  The exact linear algebra runs in the kernels:
+gathers of that matrix.  A code is built by eliminating its shorter side
+(code_from_shorter): rref of its k generator rows, or one kernel_rref of
+its n - k parity rows when those are fewer; the RREF is unique, so the
+code is the same either way.  The exact linear algebra runs in the kernels:
 membership is a syndrome product against the parity matrix, one gf_matmul
 per batch of rows, and the rows that extend a subcode's basis come from one
 rref.
@@ -138,8 +141,21 @@ def linear_code(field: FieldTable, rows, n: int | None = None) -> LinearCode:
 
 
 def code_from_parity(field: FieldTable, rows, n: int) -> LinearCode:
+    """The length-n code annihilated by rows: one kernel_rref, whose
+    pivots number the rows' rank, not the code's dimension."""
     mat = _elements(field, np.asarray(rows).reshape(len(rows), n))
-    return linear_code(field, kernels.null_space(field, mat), n)
+    return LinearCode(field, _frozen(kernels.kernel_rref(field, mat)))
+
+
+def code_from_shorter(field: FieldTable, n: int, k: int, r: int, gen, parity) -> LinearCode:
+    """The length-n code spanned by the rows gen() returns, at most k, and
+    annihilated by the r rows parity() returns, built by eliminating the
+    shorter side: code_from_parity when r < k, else linear_code.  The RREF
+    is unique, so both give the same code; only the side eliminated is
+    ever built.  Every code whose two sides are at hand is built here."""
+    if r < k:
+        return code_from_parity(field, parity(), n)
+    return linear_code(field, gen(), n)
 
 
 def hermitian_inner(field: FieldTable, u, v) -> int:
@@ -153,13 +169,17 @@ def hermitian_inner(field: FieldTable, u, v) -> int:
 
 
 def dual(code: LinearCode, kind: str = "euclidean") -> LinearCode:
-    """Euclidean or Hermitian dual code."""
-    if kind == "euclidean":
-        return linear_code(code.field, code.parity_matrix, code.n)
+    """Euclidean or Hermitian dual code, by code_from_shorter: spanned by
+    the n - k parity rows and annihilated by the k generator rows, both
+    conjugated for the Hermitian dual."""
+    gen, parity = code.parity_matrix, code.matrix
     if kind == "hermitian":
-        rows = conjugate_table(code.field)[code.parity_matrix]
-        return linear_code(code.field, rows, code.n)
-    raise QmdsError(f"unknown dual kind {kind!r}")
+        conj = conjugate_table(code.field)
+        gen, parity = conj[gen], conj[parity]
+    elif kind != "euclidean":
+        raise QmdsError(f"unknown dual kind {kind!r}")
+    return code_from_shorter(code.field, code.n, code.n - code.k, code.k,
+                             lambda: gen, lambda: parity)
 
 
 def is_subcode(sub: LinearCode, sup: LinearCode) -> bool:
@@ -181,23 +201,33 @@ def _check_coords(n: int, coords) -> tuple[int, ...]:
 
 
 def words_supported_in(code: LinearCode, support) -> LinearCode:
-    """Subcode of words vanishing outside the given support, full length."""
+    """Subcode of words vanishing outside the given support, full length:
+    the shortened code on the support, with zero columns inserted, which
+    keeps its RREF."""
     support = _check_coords(code.n, support)
     outside = sorted(set(range(code.n)) - set(support))
-    f = code.field
     if not outside or code.k == 0:
         return code
-    # the messages whose words vanish on every outside column
-    msgs = kernels.null_space(f, code.matrix[:, outside].T)
-    return linear_code(f, kernels.gf_matmul(f, msgs, code.matrix), code.n)
+    short = shorten(code, outside).matrix
+    mat = np.zeros((short.shape[0], code.n), dtype=np.uint8)
+    mat[:, sorted(support)] = short
+    return LinearCode(code.field, _frozen(mat))
 
 
 def shorten(code: LinearCode, coords) -> LinearCode:
-    """Words zero on coords, with those coordinates deleted."""
+    """Words zero on coords, with those coordinates deleted, by
+    code_from_shorter: the kernel of the parity columns kept, or the
+    messages whose words vanish on coords, encoded on the columns kept."""
     coords = _check_coords(code.n, coords)
     keep = [j for j in range(code.n) if j not in set(coords)]
-    sub = words_supported_in(code, keep)
-    return linear_code(code.field, sub.matrix[:, keep], len(keep))
+    f = code.field
+
+    def words():
+        msgs = kernels.null_space(f, code.matrix[:, list(coords)].T)
+        return kernels.gf_matmul(f, msgs, code.matrix[:, keep])
+
+    return code_from_shorter(f, len(keep), code.k, code.n - code.k,
+                             words, lambda: code.parity_matrix[:, keep])
 
 
 def puncture(code: LinearCode, coords) -> LinearCode:

@@ -164,6 +164,41 @@ def rref(f: FieldTable, rows):
     return mat[:r], pivots
 
 
+def bch_ht_reference(spec):
+    """The BCH/HT bound by the full search: every unit step e1, every run
+    start, every second step e2, with no early exit."""
+    n = spec.n
+    z = set(spec.defining_set)
+    if not z:
+        return 1
+    if len(z) == n:
+        return n + 1
+    best = 2
+    run_ht = n <= 100
+    for e1 in range(1, n):
+        if math.gcd(e1, n) != 1:
+            continue
+        for b in z:
+            if (b - e1) % n in z:
+                continue
+            ell = 1
+            while (b + ell * e1) % n in z:
+                ell += 1
+            if ell + 1 > best:
+                best = ell + 1
+            if not run_ht:
+                continue
+            for e2 in range(1, n):
+                if math.gcd(e2, n) > ell:
+                    continue
+                s = 0
+                while all((b + i * e1 + (s + 1) * e2) % n in z for i in range(ell)):
+                    s += 1
+                if ell + 1 + s > best:
+                    best = ell + 1 + s
+    return best
+
+
 def _rank(f: FieldTable, rows):
     return len(rref(f, rows)[0])
 

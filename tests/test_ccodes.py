@@ -2,6 +2,7 @@
 
 import pytest
 
+from qmds import ccodes
 from qmds.ccodes import (
     ConstacyclicSpec,
     _check_shift_closure,
@@ -13,10 +14,28 @@ from qmds.ccodes import (
     spec_to_dict,
 )
 from qmds.errors import BadDistance, DescentFailure, TowerTooLarge
-from qmds.gf import build_field, embed, field_for_order
+from qmds.gf import Polynomial, build_field, embed, field_for_order, poly_from_roots
 from qmds.linalg import linear_code, mds_verify
+from qmds.pcode import puncture_spectral
 
-from oracles import all_codewords, brute_min_weight, is_member
+from oracles import all_codewords, bch_ht_reference, brute_min_weight, is_member
+
+MDS_ORDERS = [3, 4, 5, 7, 8, 9, 16, 25, 49, 64]
+
+
+def pc_specs():
+    """The spectral P(C) specs of the pipeline for q <= 5."""
+    return [puncture_spectral(mds_spec(q * q, d)).spec
+            for q in (2, 3, 4, 5) for d in range(1, q + 2)]
+
+
+def generator_rows_code(spec):
+    """The span of the k shifts of the spec's generator polynomial."""
+    root = spec.root_field
+    roots = [root.exp_table[L] for L in spec.root_logs()]
+    g = list(poly_from_roots(root, roots, embed(spec.field, root)).coeffs)
+    n, k = spec.n, spec.k
+    return linear_code(spec.field, [[0] * i + g + [0] * (n - len(g) - i) for i in range(k)], n)
 
 
 def test_frozen_spec_serializations():
@@ -175,3 +194,42 @@ def test_small_code_matches_brute_force_everywhere():
     words = all_codewords(code)
     assert len(words) == 4 ** code.k
     assert brute_min_weight(code) == 3
+
+
+@pytest.mark.parametrize("Q", MDS_ORDERS)
+def test_bch_ht_bound_equals_the_full_search(Q):
+    # an MDS spec stops at its Singleton ceiling, here its design distance
+    for d in range(1, Q + 3):
+        spec = mds_spec(Q, d)
+        assert bch_ht_bound(spec) == bch_ht_reference(spec), d
+
+
+def test_bch_ht_bound_equals_the_full_search_on_pc_specs():
+    for spec in pc_specs():
+        assert bch_ht_bound(spec) == bch_ht_reference(spec), spec_to_dict(spec)
+
+
+@pytest.mark.parametrize("Q", MDS_ORDERS)
+def test_build_code_by_either_side_is_the_generator_span(Q):
+    # k > deg g builds the kernel of the check polynomial's shifts
+    for d in range(1, Q + 2):
+        spec = mds_spec(Q, d)
+        assert build_code(spec) == generator_rows_code(spec), d
+
+
+def test_build_code_on_pc_specs_is_the_generator_span():
+    for spec in pc_specs():
+        assert build_code(spec) == generator_rows_code(spec), spec_to_dict(spec)
+
+
+def test_generator_not_dividing_the_shift_polynomial_raises(monkeypatch):
+    spec = mds_spec(9, 3)
+    assert spec.k > len(spec.defining_set)
+
+    def off_by_one(big, roots, target):
+        g = poly_from_roots(big, roots, target)
+        return Polynomial(g.field, (g.field.add(g.coeffs[0], 1),) + g.coeffs[1:])
+
+    monkeypatch.setattr(ccodes, "poly_from_roots", off_by_one)
+    with pytest.raises(DescentFailure, match="does not divide"):
+        build_code(spec)

@@ -195,6 +195,25 @@ def test_qmds_computes_the_bch_bound_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_construction_eliminates_the_shorter_side(capsys, monkeypatch):
+    """Every code of pc 8 5 --route both is built from its fewer rows: 56
+    rref pivots in all (244 when each code was the rref of its k rows)."""
+    from qmds import kernels
+
+    pivots = []
+    rref = kernels.rref
+
+    def counted(field, mat):
+        red, piv = rref(field, mat)
+        pivots.append(len(piv))
+        return red, piv
+
+    monkeypatch.setattr(kernels, "rref", counted)
+    status, _, _ = run(capsys, "pc", "8", "5", "--route", "both")
+    assert status == 0
+    assert sum(pivots) <= 56
+
+
 def test_shorten_command(capsys):
     status, payload = run_json(capsys, "shorten", "3:10:0:6", "1")
     assert status == 0

@@ -217,6 +217,26 @@ def test_embedding_is_a_field_map(p, a, b):
         embed(build_field(2, 2), build_field(2, 3))
 
 
+# all pairs of GF(5) and GF(9), and the 16 x 16 grid of GF(128)
+@pytest.mark.parametrize("p,a,b", [(5, 1, 2), (3, 2, 4), (2, 7, 14)])
+def test_embedding_grid_check_catches_a_broken_map(p, a, b, monkeypatch):
+    small, big = build_field(p, a), build_field(p, b)
+    honest = gf.SubfieldEmbedding.map
+
+    def scaled(emb, x):  # additive, not multiplicative
+        return big.mul(big.generator, honest(emb, x))
+
+    def inverted(emb, x):  # multiplicative, not additive
+        return big.inv(honest(emb, x)) if x else 0
+
+    for broken, message in ((scaled, "not multiplicative"), (inverted, "not additive")):
+        monkeypatch.setattr(gf.SubfieldEmbedding, "map", broken)
+        with pytest.raises(Contradiction, match=message):
+            embed.__wrapped__(small, big)
+    monkeypatch.undo()
+    assert embed.__wrapped__(small, big) == embed(small, big)
+
+
 @pytest.mark.parametrize("p,a,b,c", [
     (2, 1, 2, 4), (2, 2, 4, 8), (2, 3, 6, 12), (2, 1, 3, 6), (2, 2, 6, 12),
     (3, 1, 2, 4), (3, 2, 4, 8), (5, 1, 2, 4), (7, 1, 2, 4),

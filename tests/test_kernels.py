@@ -230,6 +230,35 @@ def test_null_space_annihilates_and_fills(f):
     assert null_space(f, as_matrix(eye)).shape == (0, 4)
 
 
+def kernel_cases(rng, f):
+    """Matrices whose kernels kernel_rref takes: empty (0, n), zero,
+    random, rank-deficient and full-rank square."""
+    yield np.zeros((0, 5), dtype=np.uint8)
+    yield np.zeros((3, 6), dtype=np.uint8)
+    for rows, cols in [(1, 7), (2, 7), (4, 6), (6, 4), (3, 9)]:
+        for _ in range(4):
+            yield as_matrix(rand_mat(rng, f, rows, cols))
+        for rank in range(1, min(rows, cols)):
+            yield as_matrix(rank_deficient_mat(rng, f, rows, cols, rank))
+    for size in (1, 4, 6):
+        rows = rand_mat(rng, f, size, size)
+        while oracles._rank(f, rows) < size:
+            rows = rand_mat(rng, f, size, size)
+        yield as_matrix(rows)
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F5, F7, F8, F9, F25, F64], ids=lambda f: f"GF{f.q}")
+def test_kernel_rref_is_the_rref_of_the_null_space(f):
+    rng = random.Random(60 + f.q)
+    for mat in kernel_cases(rng, f):
+        n = mat.shape[1]
+        got = kernels.kernel_rref(f, mat)
+        assert got.dtype == np.uint8
+        assert got.shape == (n - oracles._rank(f, mat.tolist()), n)
+        assert got.tolist() == oracles.rref(f, null_space(f, mat).tolist())[0]
+        assert not gf_matmul(f, mat, got.T).any()
+
+
 # GF(11) and GF(13) are past the uint8 bound of the mod-p elimination and
 # must take the table path to come out right
 @pytest.mark.parametrize("f", [F3, F4, F9, F2, F5, F7, F11, F13])

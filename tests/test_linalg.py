@@ -15,8 +15,8 @@ from qmds.errors import (
     QmdsError,
     ZeroDimensional,
 )
-from qmds.gf import build_field, field_for_order
-from qmds.kernels import iter_sampled_words, null_space
+from qmds.gf import build_field, conjugate_table, field_for_order
+from qmds.kernels import gf_matmul, iter_sampled_words, null_space
 from qmds.linalg import (
     WordSearch,
     _extension_rows,
@@ -254,6 +254,34 @@ def test_words_supported_in():
             if not any(x for j, x in enumerate(w) if j not in support)
         }
         assert set(all_codewords(words_supported_in(code, support))) == want
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 9, 3), (3, 8, 6), (4, 7, 2), (5, 8, 6),
+                                   (9, 6, 4), (64, 9, 2), (64, 9, 7)])
+def test_dual_and_supported_words_agree_on_both_sides(q, n, k):
+    """Whichever side a code is eliminated from, generator rows or parity
+    rows, it comes out the same, for k < n - k and k > n - k."""
+    f = field_for_order(q)
+    rng = random.Random(q * 10 + k)
+    kinds = [("euclidean", np.arange(q, dtype=np.uint8))]
+    if f.m % 2 == 0:
+        kinds.append(("hermitian", conjugate_table(f)))
+    for _ in range(6):
+        code = random_code(f, n, k, rng)
+        for kind, conj in kinds:
+            spanned = linear_code(f, conj[code.parity_matrix], n)
+            annihilated = code_from_parity(f, conj[code.matrix], n)
+            assert dual(code, kind) == spanned == annihilated
+        support = rng.sample(range(n), rng.randrange(1, n))
+        outside = [j for j in range(n) if j not in support]
+        msgs = null_space(f, code.matrix[:, outside].T)
+        by_messages = linear_code(f, gf_matmul(f, msgs, code.matrix), n)
+        units = np.eye(n, dtype=np.uint8)[outside]
+        by_parity = code_from_parity(f, np.concatenate((code.parity_matrix, units)), n)
+        got = words_supported_in(code, support)
+        assert got == by_messages == by_parity
+        keep = sorted(support)
+        assert shorten(code, outside) == linear_code(f, got.matrix[:, keep], len(keep))
 
 
 def test_subfield_subcode():
