@@ -17,15 +17,19 @@ Enumeration over small fields counts weights by float32 products of one-hot
 matrices, whose entries are agreement counts at most n and need no reduction.
 
 The MDS check and the support scans share one walk, dependent_supports, over
-the prefix tree of column subsets.  batch_rank does not choose the supports
-a scan probes: it cross-checks the ones the tree yields.  On a code closed
-under a twisted shift the same walk can keep to one support per rotation
-orbit, the necklaces, and a scan then probes only those as long as its
-probes stay exhaustive.  A scan level asks which size-w support first
-carries a word of weight w, given the code and the subcode as uint8 parity
-matrices.  A probe visits the words on its support in the enumeration's
-order, the high blocks of _projective_blocks, and one syndrome product per
-chunk against the subcode's parity columns on the support drops its words.
+the prefix tree of column subsets.  A node two levels above the leaves is
+expanded only when two of its remaining columns are parallel or one is
+zero, the only way it can have a dependent grandchild; on an MDS matrix no
+node passes, and the leaves' parents are never built.  batch_rank does not
+choose the supports a scan probes: it cross-checks the ones the tree
+yields.  On a code closed under a twisted shift the same walk can keep to
+one support per rotation orbit, the necklaces, and a scan then probes only
+those as long as its probes stay exhaustive.  A scan level asks which
+size-w support first carries a word of weight w, given the code and the
+subcode as uint8 parity matrices.  A probe visits the words on its support
+in the enumeration's order, the high blocks of _projective_blocks, and one
+syndrome product per chunk against the subcode's parity columns on the
+support drops its words.
 """
 
 from __future__ import annotations
@@ -242,6 +246,34 @@ def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> n
     return upd
 
 
+def _may_depend(field, pm: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """For each node of pm, two levels above the leaves: False when its
+    columns after last hold no zero column and no two parallel ones, so
+    that none of its grandchildren is dependent.
+
+    Each column is scaled so that its first nonzero entry in the first
+    seven rows is 1, and those rows are packed into one uint64 key per
+    column, 0 for a column that is zero there.  A column up to last gets a
+    key of its own above every packed one.  Parallel columns get equal keys,
+    so the test can keep a node in vain but never drops one it needs.
+    """
+    t = field.np_tables()
+    rows = pm[:, :7].transpose(1, 0, 2)
+    lead = rows[-1].copy()
+    for row in rows[-2::-1]:
+        np.copyto(lead, row, where=row != 0)
+    # a lead's row of the flattened product table, offsets below 2**16
+    scale = t.inv[lead].astype(np.uint16) * np.uint16(len(t.mul))
+    keys = np.zeros(lead.shape, dtype=np.uint64)
+    for row in rows[::-1]:  # in place: no wide temporaries
+        keys <<= np.uint64(8)
+        keys |= t.mul.ravel().take(scale + row)
+    cols = np.arange(pm.shape[2])
+    np.copyto(keys, ~cols.astype(np.uint64), where=cols <= last[:, None])
+    keys.sort(axis=1)
+    return (keys[:, 0] == 0) | (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+
+
 def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces: bool = False):
     """Yield every dependent `size`-column subset of the (r, n) matrix, for
     1 <= size <= r, in lexicographic order: (m, size) arrays of sorted
@@ -257,6 +289,14 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces:
     are built in chunks of at most `chunk` (or the children of one node, if
     more), which bounds memory; the walk advances only as far as its
     consumer reads.
+
+    A child c of a node at depth size - 2 has a dependent child c' > c
+    exactly when P[:, c] is zero or P[:, c'] is a multiple of it: when one
+    of the two columns is zero or they are parallel.  So each chunk of that level
+    keeps only the nodes whose columns after the prefix hold such a pair
+    or a zero column (_may_depend); the others have no dependent leaf
+    below them and are not expanded.  The leaves and their chunks, and so
+    every array the walk yields, stay as they are.
 
     With necklaces=True the walk yields only the subsets that are their own
     lexicographically least rotation mod n, still in lexicographic order.
@@ -316,7 +356,10 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces:
         while start < len(fan):
             base = fan[start - 1] if start else 0
             stop = max(start + 1, int(np.searchsorted(fan, base + chunk, side="right")))
-            node, col = np.nonzero(kids[start:stop])
+            grow = kids[start:stop]
+            if j == size - 2:
+                grow = grow & _may_depend(field, pm[start:stop], last[start:stop])[:, None]
+            node, col = np.nonzero(grow)
             node += start
             if len(node):
                 yield from walk(

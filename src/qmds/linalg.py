@@ -258,7 +258,9 @@ def mds_verify(code: LinearCode) -> bool:
     Demands that every column subset on the cheaper side (k-subsets of the
     generator or (n-k)-subsets of the parity matrix) is independent, by the
     prefix-tree walk of kernels.independent_subsets.  Raises TooLarge when
-    the subsets number more than MDS_SUBSET_CAP.
+    the subsets number more than MDS_SUBSET_CAP.  The cap still counts all
+    C(n, side) subsets, although on an MDS matrix the walk stops two levels
+    above them (see kernels.dependent_supports).
     """
     n, k = code.n, code.k
     if k == 0 or k == n:

@@ -3,14 +3,17 @@
 import functools
 import itertools
 import math
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmds import kernels
 from qmds.budgets import SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP, SUBSCAN_SAMPLES
-from qmds.ccodes import mds_spec
+from qmds.ccodes import build_code, mds_spec
 from qmds.errors import Contradiction
 from qmds.gf import _prime_power_parts, build_field, field_for_order
 from qmds.kernels import (
@@ -361,10 +364,10 @@ def test_independent_subsets_across_chunk_boundaries(monkeypatch, chunk):
             assert independent_subsets(f, mat, size) is not dependent_subsets(f, mat, size)
 
 
-def tree_supports(f, mat, size, chunk):
+def tree_supports(f, mat, size, chunk, necklaces=False):
     """Every support dependent_supports yields, as tuples in yield order."""
     out = []
-    for found in dependent_supports(f, mat, size, chunk):
+    for found in dependent_supports(f, mat, size, chunk, necklaces):
         assert found.ndim == 2 and found.shape[1] == size and len(found)
         out += [tuple(s) for s in found.tolist()]
     return out
@@ -396,6 +399,118 @@ def test_dependent_supports_match_batch_rank(f, chunk):
                 # the lexicographically first dependent support comes first
                 first = next(dependent_supports(f, mat, sz, chunk))
                 assert tuple(first[0].tolist()) == want[0]
+
+
+def walk_oracle(f, mat, size, necklaces):
+    """What dependent_supports must yield, in order: every dependent subset,
+    or with necklaces only those that are their own least rotation."""
+    want = dependent_subsets(f, mat, size)
+    if necklaces:
+        want = [s for s in want if least_rotation(s, mat.shape[1]) == s]
+    return want
+
+
+def column_mix(f, mat, out, terms):
+    """Set column out of mat to the sum of coef * mat[:, c] over (coef, c)."""
+    col = np.zeros(len(mat), dtype=np.uint8)
+    for coef, c in terms:
+        col = f.np_tables().add[col, f.np_tables().mul[coef, mat[:, c]]]
+    mat[:, out] = col
+
+
+def pruning_cases(f, rng):
+    """(matrix, size) pairs whose dependent subsets a walk that prunes too
+    much would miss: parallel columns in every disguise, over r <= 10."""
+    def unit():
+        return rng.randrange(2, f.q) if f.q > 2 else 1
+
+    # at r = 10 a node two levels above leaves of size <= 4 has more rows
+    # than a key packs
+    for r, n, sizes in ((4, 9, range(1, 5)), (10, 12, (2, 3, 4, 10))):
+        for _ in range(2):
+            base = np.array(rand_mat(rng, f, r, n), dtype=np.uint8)
+            a, b, c, z = rng.sample(range(n), 4)
+            twin = base.copy()  # b = lam * a, lam != 1 when the field allows
+            column_mix(f, twin, b, [(unit(), a)])
+            late = base.copy()  # c = lam * a + mu * b: parallel to b once a is eliminated
+            column_mix(f, late, c, [(unit(), a), (unit(), b)])
+            zero = base.copy()
+            zero[:, z] = 0
+            spanned = base.copy()  # zero once the prefix {a, b} is eliminated
+            column_mix(f, spanned, z, [(unit(), a), (1, b)])
+            head = base.copy()  # zero in the first rows, which a key packs
+            head[: r - 2, z] = 0
+            head[:, c] = f.np_tables().mul[unit(), head[:, z]]
+            for mat in (twin, late, zero, spanned, head):
+                for size in sizes:
+                    yield mat, size
+
+
+# parity matrices of MDS codes, on which the walk yields nothing
+MDS_WALK_SPECS = [(7, 4), (8, 5), (9, 3), (16, 5), (49, 4), (64, 5)]
+
+
+@pytest.mark.parametrize("necklaces", [False, True])
+@pytest.mark.parametrize("chunk", [1, 5, SCAN_CHUNK])
+def test_walk_prunes_only_nodes_without_a_dependent_grandchild(chunk, necklaces):
+    for f in (F2, F5, F7, F9, F64, field_for_order(256)):
+        rng = random.Random(f.q * 31 + chunk)
+        for mat, size in pruning_cases(f, rng):
+            want = walk_oracle(f, mat, size, necklaces)
+            assert tree_supports(f, mat, size, chunk, necklaces) == want, (f.q, mat.tolist(), size)
+    for Q, d in MDS_WALK_SPECS:
+        code = build_code(mds_spec(Q, d))
+        assert code.n - code.k == d - 1
+        assert tree_supports(code.field, code.parity_matrix, d - 1, chunk, necklaces) == [], (Q, d)
+
+
+def test_mds_check_clears_few_children(monkeypatch):
+    """On an MDS matrix no node two levels above the leaves has a zero or
+    parallel pair of columns, so the walk never builds the leaves' parents:
+    the [65, 61] code over GF(64) clears about 2,000 children, not one per
+    3-subset of its 65 parity columns."""
+    cleared = []
+    clear = kernels._clear_column
+
+    def counted(field, pm, node, col):
+        cleared.append(len(node))
+        return clear(field, pm, node, col)
+
+    monkeypatch.setattr(kernels, "_clear_column", counted)
+    code = build_code(mds_spec(64, 5))
+    assert independent_subsets(code.field, code.parity_matrix, 4)
+    assert 0 < sum(cleared) < math.comb(65, 3)
+
+
+def mixed_matrix(data, q, r, n):
+    """A random r x n matrix over GF(q) whose later columns may be zero,
+    scaled copies or two-term mixtures of earlier ones."""
+    f = field_for_order(q)
+    elt = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.lists(elt, min_size=n, max_size=n), min_size=r, max_size=r))
+    mat = np.array(rows, dtype=np.uint8).reshape(r, n)
+    for out in range(1, n):
+        if data.draw(st.booleans()):
+            a, b = (data.draw(st.integers(0, out - 1)) for _ in range(2))
+            column_mix(f, mat, out, [(data.draw(elt), a), (data.draw(elt), b)])
+    return f, mat
+
+
+@settings(
+    max_examples=2000 if os.environ.get("QMDS_HEAVY") else 60,
+    deadline=None, derandomize=True,
+)
+@given(data=st.data())
+def test_walk_property_matches_brute_force(data):
+    q = data.draw(st.sampled_from(prime_powers_to(256)))
+    r = data.draw(st.integers(1, 10))
+    n = data.draw(st.integers(1, 12))
+    f, mat = mixed_matrix(data, q, r, n)
+    necklaces = data.draw(st.booleans())
+    chunk = data.draw(st.sampled_from([1, 5, SCAN_CHUNK]))
+    for size in range(1, min(r, n) + 1):
+        want = walk_oracle(f, mat, size, necklaces)
+        assert tree_supports(f, mat, size, chunk, necklaces) == want, size
 
 
 def test_lex_rank_is_the_combinations_index():
