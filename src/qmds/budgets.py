@@ -25,11 +25,11 @@ DENSE_SUPPORT_CAP = 50_000
 SUBSCAN_EXACT_CAP = 4096
 SUBSCAN_SAMPLES = 512
 
-# Fixed chunk sizes.  ENUM_CHUNK, ENUM_LOW, ENUM_BYTES, ENUM_PRODUCT_Q,
-# RANK_CHUNK and SCAN_CHUNK are tuning constants only: results never depend
-# on them.  SAMPLE_CHUNK is not: the sampler draws its Philox stream one
-# chunk at a time, and one draw of 8192 messages yields other words than two
-# draws of 4096, so SAMPLE_CHUNK fixes which words every sampling pass sees.
+# Fixed chunk sizes.  ENUM_CHUNK, ENUM_LOW, ENUM_BYTES, ENUM_PRODUCT_Q and
+# SCAN_CHUNK are tuning constants only: results never depend on them.
+# SAMPLE_CHUNK is not: the sampler draws its Philox stream one chunk at a
+# time, and one draw of 8192 messages yields other words than two draws of
+# 4096, so SAMPLE_CHUNK fixes which words every sampling pass sees.
 ENUM_CHUNK = 4096
 # Enumeration counts weights block by block: ENUM_CHUNK high words are
 # encoded at a time (a support probe's words are such high blocks, with no
@@ -47,25 +47,25 @@ ENUM_LOW = 1024
 ENUM_BYTES = 2**17
 ENUM_PRODUCT_Q = 8
 SAMPLE_CHUNK = 4096
-RANK_CHUNK = 16384
-# Prefix-tree children built per step of a support scan.  A scan's tree is
-# deeper and its nodes carry more rows than the MDS check's, which builds
-# RANK_CHUNK at a time.  With the walk pruned two levels above its leaves, the
-# w = 8 scan of `qmds 5 4` peaks at 4.5 MB traced at RANK_CHUNK and 2.3 MB at
-# this size, and takes 30 ms instead of 16 ms on one core; the w = 7 scan
-# peaks at 1.6 and 1.3 MB, in the same time.  The MDS check of `mds 64 5`
-# peaks at 1.5 MB at RANK_CHUNK, 1.1 MB at this size.
+# Prefix-tree leaves built per step of the walk behind the MDS check and the
+# support scans, and so per batch_rank cross-check of a scan.  With the walk
+# pruned two levels above its leaves, the w = 8 scan of `qmds 5 4` peaks at
+# 4.5 MB traced at 16384 and 2.3 MB at this size, and takes 30 ms instead of
+# 16 ms on one core; the w = 7 scan peaks at 1.6 and 1.3 MB, in the same
+# time.  The MDS check of `mds 64 5` peaks at 1.5 MB at 16384, 1.1 MB here.
 SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Ceilings for the weight-search strategy ladder.
+    """Ceilings for the weight-search routes.  Only linalg.WordSearch
+    compares them with a cost, so it alone decides which route runs.
 
-    enum: projective (or coset) classes an exhaustive enumeration may visit.
-    support: per-level gate for support scans, compared against
-        C(n, w) * min(k, n-k)**3.
-    samples: random messages drawn by the sampling fallback.
+    enum: projective (or coset) classes an exhaustive enumeration may visit,
+        compared against WordSearch.enum_cost by WordSearch.enumerable.
+    support: per-level gate of WordSearch.scan, compared against
+        C(n, w) * max(min(k, n-k), 1)**3.
+    samples: random messages drawn by the sampling route.
     seed: PRNG seed for every sampled stream.
     """
 

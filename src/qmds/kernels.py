@@ -17,19 +17,19 @@ Enumeration over small fields counts weights by float32 products of one-hot
 matrices, whose entries are agreement counts at most n and need no reduction.
 
 The MDS check and the support scans share one walk, dependent_supports, over
-the prefix tree of column subsets.  A node two levels above the leaves is
-expanded only when two of its remaining columns are parallel or one is
-zero, the only way it can have a dependent grandchild; on an MDS matrix no
-node passes, and the leaves' parents are never built.  batch_rank does not
-choose the supports a scan probes: it cross-checks the ones the tree
-yields.  On a code closed under a twisted shift the same walk can keep to
-one support per rotation orbit, the necklaces, and a scan then probes only
-those as long as its probes stay exhaustive.  A scan level asks which
-size-w support first carries a word of weight w, given the code and the
-subcode as uint8 parity matrices.  A probe visits the words on its support
-in the enumeration's order, the high blocks of _projective_blocks, and one
-syndrome product per chunk against the subcode's parity columns on the
-support drops its words.
+the prefix tree of column subsets, SCAN_CHUNK leaves at a time.  A node two
+levels above the leaves is expanded only when two of its remaining columns
+are parallel or one is zero, the only way it can have a dependent
+grandchild; on an MDS matrix no node passes, and the leaves' parents are
+never built.  batch_rank does not choose the supports a scan probes: it
+cross-checks each chunk the tree yields.  On a code closed under a twisted
+shift the same walk can keep to one support per rotation orbit, the
+necklaces, and a scan then probes only those as long as its probes stay
+exhaustive.  A scan level asks which size-w support first carries a word of
+weight w, given the code and the subcode as uint8 parity matrices.  A probe
+visits the words on its support in the enumeration's order, the high blocks
+of _projective_blocks, and one syndrome product per chunk against the
+subcode's parity columns on the support drops its words.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .budgets import (
     ENUM_BYTES,
     ENUM_LOW,
     ENUM_PRODUCT_Q,
-    RANK_CHUNK,
     SAMPLE_CHUNK,
     SCAN_CHUNK,
     SUBSCAN_EXACT_CAP,
@@ -375,7 +374,7 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces:
 def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
     """True when every `size` columns of the (r, n) matrix are independent,
     for 1 <= size <= r: when dependent_supports yields nothing."""
-    return next(dependent_supports(field, mat, size, RANK_CHUNK), None) is None
+    return next(dependent_supports(field, mat, size, SCAN_CHUNK), None) is None
 
 
 def lex_rank(n: int, support) -> int:
@@ -591,11 +590,12 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
 
     When w <= r only a support whose parity columns are dependent carries a
     word, and dependent_supports finds exactly those on its prefix tree.
-    batch_rank cross-checks them, one call per RANK_CHUNK of them, and a
-    support of full rank raises Contradiction.  Above r every support is
-    probed, and the level stops unfinished once DENSE_SUPPORT_CAP probes are
-    spent.  The probe of the support with lexicographic index i samples with
-    tag (w << 32) | i.  Witnesses come back full length.
+    batch_rank cross-checks them, one call per chunk the walk yields (at most
+    SCAN_CHUNK leaves, or the children of one node), and a support of full
+    rank raises Contradiction.  Above r every support is probed, and the
+    level stops unfinished once DENSE_SUPPORT_CAP probes are spent.  The
+    probe of the support with lexicographic index i samples with tag
+    (w << 32) | i.  Witnesses come back full length.
 
     rotations=True says the code is closed under a twisted shift, which
     maps the words on a support onto those on its rotation by one.  With no
@@ -611,15 +611,13 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
 
     def dependent(necklaces):
         for found in dependent_supports(field, parity, w, SCAN_CHUNK, necklaces):
-            for lo in range(0, len(found), RANK_CHUNK):
-                part = found[lo:lo + RANK_CHUNK]
-                ranks = batch_rank(field, parity[:, part].transpose(1, 0, 2))
-                indep = np.flatnonzero(ranks == w)
-                if len(indep):
-                    bad = part[indep[0]].tolist()
-                    raise Contradiction(f"support {bad} has independent parity columns")
-                for support in part.tolist():
-                    yield lex_rank(n, support), support
+            ranks = batch_rank(field, parity[:, found].transpose(1, 0, 2))
+            indep = np.flatnonzero(ranks == w)
+            if len(indep):
+                bad = found[indep[0]].tolist()
+                raise Contradiction(f"support {bad} has independent parity columns")
+            for support in found.tolist():
+                yield lex_rank(n, support), support
 
     def probe(supports, cap):
         """The outcome over these supports, and whether every probe
@@ -644,8 +642,3 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
             return out
     return probe(dependent(False), math.inf)[0]
 
-
-def level_gate(n: int, w: int, k: int, budget_support: int) -> bool:
-    """Spending gate for one support-scan level on an [n, k] code."""
-    side = min(k, n - k)
-    return math.comb(n, w) * max(side, 1) ** 3 <= budget_support

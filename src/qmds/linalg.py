@@ -25,6 +25,7 @@ from . import kernels
 from .budgets import DEFAULT_BUDGET, MDS_SUBSET_CAP, SearchBudget
 from .errors import (
     BadCoordinate,
+    BadWeight,
     Contradiction,
     FieldMismatch,
     LengthMismatch,
@@ -265,12 +266,9 @@ def mds_verify(code: LinearCode) -> bool:
     n, k = code.n, code.k
     if k == 0 or k == n:
         return True
-    side_k = min(k, n - k)
-    count = math.comb(n, side_k)
+    count = math.comb(n, min(k, n - k))
     if count > MDS_SUBSET_CAP:
-        raise TooLarge(
-            f"MDS check needs {count} subsets, above the {MDS_SUBSET_CAP} cap"
-        )
+        raise TooLarge(f"MDS check needs {count} subsets, above the {MDS_SUBSET_CAP} cap")
     if k <= n - k:
         return kernels.independent_subsets(code.field, code.matrix, k)
     return kernels.independent_subsets(code.field, code.parity_matrix, n - k)
@@ -314,6 +312,18 @@ def _extension_rows(big: LinearCode, sub: LinearCode) -> np.ndarray:
     return big.matrix[[c - sub.k for c in pivots if c >= sub.k]]
 
 
+@dataclass(frozen=True)
+class PresenceResult:
+    weight: int
+    verdict: str  # "FoundWitness" | "ProvenAbsent" | "UnknownWithinBudget"
+    witness: tuple | None
+    effort: dict
+
+    @property
+    def found(self) -> bool:
+        return self.verdict == "FoundWitness"
+
+
 class WordSearch:
     """Which weights occur among the words of code that lie outside sub.
 
@@ -321,7 +331,9 @@ class WordSearch:
     route proved missing.  Three routes fill them: enumerate (exact, every
     weight), scan (one support level) and sample (witnesses only).  Every
     route visits words in a fixed order, so each witness is the first word
-    of its weight in that order.
+    of its weight in that order.  The class owns every budget gate and
+    route order: enumerable and scan hold the gates, decide (one weight)
+    and lowest (the lowest weight) the orders.
     """
 
     def __init__(self, code: LinearCode, sub: LinearCode | None = None):
@@ -341,16 +353,9 @@ class WordSearch:
             return self.code.matrix
         return np.concatenate((_extension_rows(self.code, self.sub), self.sub.matrix))
 
-    @property
-    def enum_cost(self) -> int:
-        """Classes an enumeration visits: q**dim(sub) cosets per projective
-        class of the leading coefficients."""
-        q = self.code.field.q
-        return q ** (self.code.k - self.leads) * kernels.projective_count(q, self.leads)
-
     def record(self, word) -> None:
         word = np.asarray(word)
-        self.found.setdefault(np.count_nonzero(word), tuple(word.tolist()))
+        self.found.setdefault(int(np.count_nonzero(word)), tuple(word.tolist()))
 
     def enumerate(self) -> None:
         """Every word once up to scalars: exact counts and every weight."""
@@ -365,11 +370,20 @@ class WordSearch:
         self.exact_counts = [int(c) for c in counts]
         self.absent.update(w for w in range(1, n + 1) if counts[w] == 0)
 
+    def enumerable(self, budget: SearchBudget) -> bool:
+        """The one enumeration gate: the classes an enumeration visits,
+        q**dim(sub) cosets per projective class of the leading
+        coefficients, number at most budget.enum."""
+        q, leads = self.code.field.q, self.leads
+        return q ** (self.code.k - leads) * kernels.projective_count(q, leads) <= budget.enum
+
     def scan(self, w: int, budget: SearchBudget):
         """Support scan for a word of weight w, or None when its gate
-        refuses.  A completed exhaustive scan proves weight w absent."""
+        refuses: when C(n, w) * max(min(k, n - k), 1)**3 exceeds
+        budget.support.  A completed exhaustive scan proves weight w absent."""
         code = self.code
-        if not kernels.level_gate(code.n, w, code.k, budget.support):
+        side = max(min(code.k, code.n - code.k), 1)
+        if math.comb(code.n, w) * side**3 > budget.support:
             return None
         out = kernels.scan_level(
             code.field, code.parity_matrix, w, budget.seed,
@@ -418,41 +432,70 @@ class WordSearch:
         self.sampled = (budget.samples, budget.seed, tag)
 
     def lowest(self, budget: SearchBudget, tag: int) -> WeightResult:
-        """Lowest weight: enumerate when affordable, else scan levels upward
+        """Lowest weight: enumerate when enumerable, else scan levels upward
         while each one proves its weight absent, then sample down to the
-        proven floor.  A level is scanned only once every lower weight is
-        absent, so the first word it finds has the lowest weight."""
-        if self.enum_cost <= budget.enum:
+        proven floor unless its scan found a word.  A level is scanned only
+        once every lower weight is absent, so the first word it finds has
+        the lowest weight."""
+        if self.enumerable(budget):
             self.enumerate()
             w = min(self.found)
             return WeightResult(w, self.found[w], "exact", w)
         floor = 1
-        while floor <= self.code.n:
-            out = self.scan(floor, budget)
-            if out is None:
-                break
-            if out.witness is not None:
-                return WeightResult(floor, self.found[floor], "exact", floor)
-            if floor not in self.absent:
-                break
+        while floor <= self.code.n and self.scan(floor, budget) and floor in self.absent:
             floor += 1
-        self.sample(budget, tag, stop=floor)
+        if floor not in self.found:
+            self.sample(budget, tag, stop=floor)
         best = min(self.found, default=None)
         status = "exact" if best == floor else "lower_bound_only"
         return WeightResult(best, self.found.get(best), status, floor)
 
+    def decide(self, w: int, budget: SearchBudget) -> PresenceResult:
+        """Whether a word of weight exactly w occurs.
+
+        Routes in one fixed order: the verdicts found and absent already
+        hold, enumeration when it is enumerable, the sampling pass that
+        every weight shares (it runs once per budget), and the level-w scan
+        only when sampling did not find w.  The answer is the same whether
+        w is asked alone or after other weights.
+        """
+        if not (1 <= w <= self.code.n):
+            raise BadWeight(f"weight {w} outside 1..{self.code.n}")
+        if self.code.k == 0:
+            return PresenceResult(w, "ProvenAbsent", None, {"reason": "zero code"})
+        if w in self.found or w in self.absent:
+            effort = {"cache": True}
+        elif self.enumerable(budget):
+            self.enumerate()
+            effort = {"enumerated": True}
+        else:
+            self.sample(budget, tag=0x77)
+            out = None if w in self.found else self.scan(w, budget)
+            effort = {} if out is None else {"supports_scanned": out.supports_scanned}
+            # credited to sampling when it found w or w stays undecided
+            if out is None or not (w in self.found or w in self.absent):
+                effort["samples"] = budget.samples
+                effort["seed"] = budget.seed
+        if w in self.found:
+            return PresenceResult(w, "FoundWitness", self.found[w], effort)
+        verdict = "ProvenAbsent" if w in self.absent else "UnknownWithinBudget"
+        return PresenceResult(w, verdict, None, effort)
+
 
 def min_weight(code: LinearCode, budget: SearchBudget = DEFAULT_BUDGET) -> WeightResult:
-    """Minimum weight: the MDS rank sweep when it applies, else the
-    WordSearch ladder.  The returned floor is always a proven lower bound,
-    whatever the status.
+    """Minimum weight: the MDS rank sweep unless mds_verify refuses it as
+    TooLarge or finds the code not MDS, else WordSearch.lowest.  The
+    returned floor is always a proven lower bound, whatever the status.
     """
     if code.k == 0:
         raise ZeroDimensional("zero code has no minimum weight")
-    n, k = code.n, code.k
-    if math.comb(n, min(k, n - k)) <= MDS_SUBSET_CAP and mds_verify(code):
-        w = _mds_witness(code)
-        return WeightResult(n - k + 1, w, "exact", n - k + 1)
+    try:
+        mds = mds_verify(code)
+    except TooLarge:  # too many subsets to check: the search decides
+        mds = False
+    if mds:
+        d = code.n - code.k + 1
+        return WeightResult(d, _mds_witness(code), "exact", d)
     return WordSearch(code).lowest(budget, tag=0x31)
 
 

@@ -9,8 +9,6 @@ construction consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -28,6 +26,7 @@ from .errors import (
 from .gf import build_field, conjugate_table, embed, norm_preimage, subfield_order
 from .linalg import (
     LinearCode,
+    PresenceResult,
     WordSearch,
     code_from_parity,
     linear_code,
@@ -118,50 +117,11 @@ def puncture_spectral(spec: ConstacyclicSpec) -> PunctureCode:
     return PunctureCode(base, "spectral", f"spec(Q={Q},n={n})", spec=pspec)
 
 
-@dataclass(frozen=True)
-class PresenceResult:
-    weight: int
-    verdict: str  # "FoundWitness" | "ProvenAbsent" | "UnknownWithinBudget"
-    witness: tuple | None
-    effort: dict
-
-    @property
-    def found(self) -> bool:
-        return self.verdict == "FoundWitness"
-
-
 def weight_present(pc: PunctureCode, w: int,
                    budget: SearchBudget = DEFAULT_BUDGET) -> PresenceResult:
-    """Decide whether the puncture code has a word of weight exactly w.
-
-    Routes in one fixed order: the verdicts cached on the PunctureCode,
-    exhaustive enumeration when the code is small, the sampling pass that
-    every weight shares (it runs once per budget), and a support scan at
-    level w only when sampling did not find the weight.  The answer is the
-    same whether w is asked alone or inside weight_spectrum.
-    """
-    base = pc.base
-    if not (1 <= w <= base.n):
-        raise BadWeight(f"weight {w} outside 1..{base.n}")
-    if base.k == 0:
-        return PresenceResult(w, "ProvenAbsent", None, {"reason": "zero code"})
-    if w in pc.found or w in pc.absent:
-        effort = {"cache": True}
-    elif pc.enum_cost <= budget.enum:
-        pc.enumerate()
-        effort = {"enumerated": True}
-    else:
-        pc.sample(budget, tag=0x77)
-        out = None if w in pc.found else pc.scan(w, budget)
-        effort = {} if out is None else {"supports_scanned": out.supports_scanned}
-        # credited to sampling when it found w or w stays undecided
-        if out is None or not (w in pc.found or w in pc.absent):
-            effort["samples"] = budget.samples
-            effort["seed"] = budget.seed
-    if w in pc.found:
-        return PresenceResult(w, "FoundWitness", pc.found[w], effort)
-    verdict = "ProvenAbsent" if w in pc.absent else "UnknownWithinBudget"
-    return PresenceResult(w, verdict, None, effort)
+    """Decide whether the puncture code has a word of weight exactly w, by
+    WordSearch.decide on the search state the puncture code keeps."""
+    return pc.decide(w, budget)
 
 
 def weight_spectrum(pc: PunctureCode, weights=None,

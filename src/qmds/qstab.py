@@ -131,7 +131,7 @@ def stabilizer_from_self_orthogonal(
         raise Contradiction(f"floor {dstar_floor} on d(D*) exceeds the Singleton cap")
     # words of D* outside D; D is a proper subcode, since kq > 0
     search = WordSearch(dstar, d_code)
-    settle = prefer_relative or search.enum_cost <= budget.enum or dstar_floor < cap
+    settle = prefer_relative or search.enumerable(budget) or dstar_floor < cap
     rel = search.lowest(budget, 0x32) if settle else None
     if (rel is None or not rel.exact) and dstar_floor == cap:
         return QuantumCodeParams(
@@ -548,7 +548,9 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
     Statuses: verified (exact distance computed here), claimed (record
     derived without its own exact check), literature (imported or derived
     from imported records), absent (this pipeline provably lacks the
-    length), unknown.
+    length), unknown.  The searches run on a light budget: the scan gate
+    capped at 5 * 10**8 and the samples at 10**6, so larger ones change
+    nothing here.
     """
     field_for_order(q)
     nmax = q * q + 2

@@ -25,7 +25,6 @@ from qmds.kernels import (
     independent_subsets,
     iter_projective_words,
     iter_sampled_words,
-    level_gate,
     lex_rank,
     null_space,
     philox,
@@ -353,7 +352,7 @@ def test_independent_subsets_reaches_the_last_subset(f):
 
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_independent_subsets_across_chunk_boundaries(monkeypatch, chunk):
-    monkeypatch.setattr(kernels, "RANK_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
     rng = random.Random(chunk)
     for f in (F7, F9, F64):
         for size in (2, 3, 4):
@@ -798,7 +797,6 @@ def test_scan_level_matches_reference_scan(f):
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_scan_level_across_chunk_boundaries(monkeypatch, chunk):
     monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
-    monkeypatch.setattr(kernels, "RANK_CHUNK", chunk)
     rng = random.Random(150 + chunk)
     for f in (F4, F7):
         for code in scan_cases(f, rng):
@@ -1040,10 +1038,3 @@ def test_probe_support_paths():
     vec, exact = probe_support(f5, zero_parity, tuple(range(8)), None, 3, 1)
     assert not exact
     assert vec is not None and all(vec)
-
-
-def test_level_gate_formula():
-    assert level_gate(10, 3, 5, 10**6)
-    assert not level_gate(10, 3, 5, 10**4)
-    assert level_gate(26, 7, 16, 10**10)
-    assert not level_gate(26, 7, 16, 10**8)

@@ -1,6 +1,7 @@
 """Linear codes: duals, derived codes, MDS checks, weight searches."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from qmds.errors import (
     LengthMismatch,
     NotASubcode,
     QmdsError,
+    TooLarge,
     ZeroDimensional,
 )
 from qmds.gf import build_field, conjugate_table, field_for_order
@@ -354,6 +356,64 @@ def test_min_weight_search_paths_agree():
     assert free.exact and no_enum.exact
     assert free.value == no_enum.value
 
+
+def test_min_weight_searches_when_the_mds_check_is_too_large(monkeypatch):
+    """With no column subset allowed, mds_verify raises TooLarge and
+    min_weight still returns the exact distance, through the search."""
+    from qmds import linalg
+    from qmds.ccodes import build_code, mds_spec
+
+    monkeypatch.setattr(linalg, "MDS_SUBSET_CAP", 0)
+    searched = []
+    lowest = WordSearch.lowest
+
+    def counted(self, budget, tag):
+        searched.append(self.code)
+        return lowest(self, budget, tag)
+
+    monkeypatch.setattr(WordSearch, "lowest", counted)
+    rng = random.Random(17)
+    codes = [build_code(mds_spec(Q, d)) for Q, d in ((4, 3), (5, 3), (7, 4))]
+    codes += [random_code(build_field(3), 8, k, rng) for k in (2, 4, 6)]
+    for c in codes:
+        with pytest.raises(TooLarge):
+            mds_verify(c)
+        got = min_weight(c)
+        assert got.exact and got.value == brute_min_weight(c)
+        assert c.contains(got.witness)
+        assert searched[-1] is c
+    assert len(searched) == len(codes)
+
+
+def test_scan_gate_formula(monkeypatch):
+    """WordSearch.scan refuses a level, returning None, exactly when
+    C(n, w) * max(min(k, n - k), 1)**3 exceeds budget.support.  The kernel
+    scan is stubbed out: only the gate is under test."""
+    from qmds import kernels
+
+    scanned = []
+
+    def stub(field, parity, w, seed, **kwargs):
+        scanned.append(w)
+        return kernels.ScanOutcome(None, 0, False, False)
+
+    monkeypatch.setattr(kernels, "scan_level", stub)
+    f = build_field(2)
+    rng = random.Random(11)
+    cases = [(10, 3, 5, 10**6, True), (10, 3, 5, 10**4, False),
+             (26, 7, 16, 10**10, True), (26, 7, 16, 10**8, False)]
+    for n, w, k, support, runs in cases:
+        search = WordSearch(random_code(f, n, k, rng))
+        assert (search.scan(w, SearchBudget(support=support)) is not None) is runs
+    # at the formula's value and one below it; a side of 0 counts as 1
+    for n, k in ((10, 5), (26, 16), (6, 6), (7, 1)):
+        search = WordSearch(random_code(f, n, k, rng))
+        for w in range(1, n + 1):
+            cost = math.comb(n, w) * max(min(k, n - k), 1) ** 3
+            assert search.scan(w, SearchBudget(support=cost)) is not None
+            assert search.scan(w, SearchBudget(support=cost - 1)) is None
+    assert len(scanned) == 2 + 10 + 26 + 6 + 7
+    assert not search.absent and not search.found
 
 @pytest.mark.parametrize("q,n,k,ksub", [(2, 7, 4, 2), (3, 6, 3, 1), (4, 5, 3, 2)])
 def test_min_weight_relative_matches_brute_force(q, n, k, ksub):

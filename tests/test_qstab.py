@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+from qmds import qstab
+from qmds.budgets import DEFAULT_BUDGET, SearchBudget
 from qmds.errors import (
     BadCoordinate,
     BadDistance,
@@ -15,7 +17,7 @@ from qmds.errors import (
     UnsupportedAlphabet,
 )
 from qmds.gf import build_field
-from qmds.linalg import dual, linear_code
+from qmds.linalg import WordSearch, dual, linear_code, min_weight
 from qmds.qstab import (
     QuantumCodeParams,
     Registry,
@@ -90,6 +92,58 @@ def test_pipeline_full_weight_guarantee_flag():
     assert run_pipeline(2, 3).guaranteed_full_weight
     assert run_pipeline(3, 2).guaranteed_full_weight
     assert not run_pipeline(2, 2).guaranteed_full_weight
+
+
+# 4**8 still enumerates P(C) of (4, 4), 21,845 classes, but not every
+# relative search that the default budget enumerates
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, SearchBudget(enum=4**8)],
+                         ids=["default", "small-enum"])
+def test_relative_search_runs_exactly_when_the_settle_rule_asks(monkeypatch, budget):
+    """Over the 6B and 6C pipeline records, their D codes again with no
+    inherited floor, and one D whose D* has distance 1,
+    stabilizer_from_self_orthogonal runs the relative lowest exactly when
+    prefer_relative is set, the relative enumeration fits budget.enum, or
+    the floor on d(D*) is below the Singleton cap."""
+    relative = []
+    lowest = WordSearch.lowest
+
+    def counted(self, budget, tag):
+        if self.sub is not None:
+            relative.append(tag)
+        return lowest(self, budget, tag)
+
+    monkeypatch.setattr(WordSearch, "lowest", counted)
+    stab = qstab.stabilizer_from_self_orthogonal
+    calls = []
+
+    def watched(d_code, budget, *, d_floor=1, prefer_relative=False, provenance=()):
+        before = len(relative)
+        out = stab(d_code, budget, d_floor=d_floor, prefer_relative=prefer_relative,
+                   provenance=provenance)
+        calls.append((d_code, d_floor, prefer_relative, len(relative) - before))
+        return out
+
+    monkeypatch.setattr(qstab, "stabilizer_from_self_orthogonal", watched)
+    for q, d in ((3, 3), (3, 4), (4, 3), (4, 4), (4, 5)):
+        run_pipeline(q, d, budget)
+    for d_code, *_ in list(calls):
+        watched(d_code, budget)
+    # D* = {x : x0 = x1} holds weight-1 words: a floor below the cap of 2
+    watched(linear_code(build_field(2, 2), [[1, 1] + [0] * 10]), budget)
+    reasons = set()
+    for d_code, d_floor, prefer, ran in calls:
+        kt, n, Q = d_code.k, d_code.n, d_code.field.q
+        if n == 2 * kt:  # no logical qudit: D* alone, no relative search
+            assert ran == 0
+            continue
+        cap = kt + 1
+        dstar = dual(d_code, "hermitian")
+        floor = d_floor if d_floor >= cap else max(d_floor, min_weight(dstar, budget).floor)
+        fits = Q**kt * (Q ** (dstar.k - kt) - 1) // (Q - 1) <= budget.enum
+        assert ran == int(prefer or fits or floor < cap), (d_code, d_floor, prefer)
+        reasons.add((prefer, fits, floor < cap))
+    assert {(False, False, False), (False, False, True)} <= reasons
+    assert any(prefer for prefer, _, _ in reasons) and (False, True, False) in reasons
 
 
 def test_shorten_params_chain():
