@@ -29,7 +29,11 @@ SUBSCAN_SAMPLES = 512
 # SCAN_CHUNK are tuning constants only: results never depend on them.
 # SAMPLE_CHUNK is not: the sampler draws its Philox stream one chunk at a
 # time, and one draw of 8192 messages yields other words than two draws of
-# 4096, so SAMPLE_CHUNK fixes which words every sampling pass sees.
+# 4096 (kernels.PhiloxStream reads each chunk's bytes off the raw Philox
+# words and drops the rest of the 32-bit word its last byte came from), so
+# SAMPLE_CHUNK fixes which words every sampling pass sees.  A pass encodes
+# only the messages of a chunk whose unit-column weight can still reach a
+# missing weight, and draws no more chunks once no weight is missing.
 ENUM_CHUNK = 4096
 # Enumeration counts weights block by block: ENUM_CHUNK high words are
 # encoded at a time (a support probe's words are such high blocks, with no

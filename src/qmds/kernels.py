@@ -30,6 +30,15 @@ weight w, given the code and the subcode as uint8 parity matrices.  A probe
 visits the words on its support in the enumeration's order, the high blocks
 of _projective_blocks, and one syndrome product per chunk against the
 subcode's parity columns on the support drops its words.
+
+Every sample is drawn by PhiloxStream, which reads the messages numpy's
+Generator.integers would draw straight off the raw Philox words, byte by
+byte by Lemire's method, and hands back the accepted bytes themselves: an
+element is nonzero exactly when its byte is at least ceil(256/q), so a
+caller can bound a message's weight before it decodes the message.  A
+sampling pass (linalg.WordSearch.sample) encodes only the messages whose
+unit-column weight can still reach a missing weight, and stops drawing
+once none is missing.
 """
 
 from __future__ import annotations
@@ -513,22 +522,75 @@ def philox(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class PhiloxStream:
+    """The draws of philox(seed, tag).integers(0, q, size=(cnt, k),
+    dtype=np.uint8), call after call, read straight off the bit
+    generator's raw 64-bit words: the one draw path of every sample.
+
+    numpy splits each 64-bit word into two 32-bit words, low half first,
+    and each of those into four bytes, low byte first, so the bytes come in
+    the little-endian order of the raw words.  By Lemire's bounded-integer
+    method a byte b gives the element (b*q) >> 8, and it is skipped when
+    (b*q) mod 256 < 256 mod q.  The rest of the last 32-bit word a call
+    reads is dropped; whole words drawn past a call are kept for the next.
+    The stream must be the only consumer of its generator.
+
+    raw returns the accepted bytes themselves: digit[b] is the element, and
+    it is nonzero exactly when b >= nonzero_from = ceil(256 / q).
+    """
+
+    def __init__(self, q: int, seed: int, tag: int):
+        self.digit = (np.arange(256) * q >> 8).astype(np.uint8)
+        self.nonzero_from = -(-256 // q)
+        # uint8 products wrap: b * q8 is (b*q) mod 256
+        self._q8, self._cut = np.uint8(q % 256), 256 % q
+        self._rate = np.count_nonzero(np.arange(256, dtype=np.uint8) * self._q8 >= self._cut) / 256
+        self._words = philox(seed, tag).bit_generator.random_raw
+        self._held = np.zeros(0, dtype=np.uint8)  # whole 32-bit words
+
+    def raw(self, cnt: int, k: int) -> np.ndarray:
+        """The (cnt, k) uint8 accepted bytes behind the next call."""
+        need = cnt * k
+        buf = self._held
+        while True:
+            accept = buf * self._q8 >= self._cut
+            short = need - np.count_nonzero(accept)
+            if short <= 0:
+                break
+            # the bytes expected to hold the shortfall, a margin of about
+            # four standard deviations, and at least one word: progress
+            nbytes = short / self._rate + 4 * math.sqrt(short) + 8
+            more = self._words(int(nbytes) // 8 + 1).astype("<u8", copy=False).view(np.uint8)
+            buf = np.concatenate((buf, more))
+        # the call reads up to its need-th accepted byte, the last of the
+        # shortest prefix holding need: a prefix short by s accepted bytes
+        # needs at least s more
+        end, got = need, np.count_nonzero(accept[:need])
+        while got < need:
+            step = need - got
+            got += np.count_nonzero(accept[end:end + step])
+            end += step
+        self._held = buf[-(-end // 4) * 4:]
+        return buf[:end][accept[:end]].reshape(cnt, k)
+
+    def chunks(self, count: int, k: int):
+        """Yield raw for count messages of k elements, SAMPLE_CHUNK per call."""
+        for start in range(0, count, SAMPLE_CHUNK):
+            yield self.raw(min(SAMPLE_CHUNK, count - start), k)
+
+
 def iter_sampled_words(field, gen, count: int, seed: int, tag: int):
-    """Yield (msgs, words) chunks from a deterministic Philox stream.
+    """Yield (msgs, words) chunks from a deterministic Philox stream, the
+    chunks of a PhiloxStream decoded and encoded in full.
 
     The stream depends on (seed, tag, count) only; chunk size is a fixed
     constant so partitioning hints can never change what gets drawn.
     """
     g = np.asarray(gen, dtype=np.uint8)
-    k = g.shape[0]
-    q = field.q
-    rng = philox(seed, tag)
-    remaining = count
-    while remaining > 0:
-        cnt = int(min(SAMPLE_CHUNK, remaining))
-        msgs = rng.integers(0, q, size=(cnt, k), dtype=np.uint8)
+    stream = PhiloxStream(field.q, seed, tag)
+    for raw in stream.chunks(int(count), g.shape[0]):
+        msgs = stream.digit[raw]
         yield msgs, gf_matmul(field, msgs, g)
-        remaining -= cnt
 
 
 @dataclass

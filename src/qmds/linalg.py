@@ -400,33 +400,56 @@ class WordSearch:
         """Record the first sampled word of each weight.  Stops after the
         chunk that finds weight stop; only a full pass counts as sampled.
 
-        A column of rows whose one nonzero entry lies in row i is nonzero
-        in m @ rows exactly when m_i is, so a word's weight is the count of
-        such unit columns on the message's support plus the nonzeros of
-        its product with the other columns, the only ones encoded.  A full
-        word is built only for the first message of each new weight.
+        The messages are the raw bytes of a kernels.PhiloxStream, read off
+        the Philox words, and an entry is nonzero exactly when its byte is
+        at least nonzero_from.  A column of rows whose one nonzero entry
+        lies in row i is nonzero in m @ rows exactly when m_i is, so the
+        count of such unit columns on the message's support, its base,
+        bounds its weight to [base, base + the other columns].  Only the
+        messages whose interval holds a weight not yet found are decoded
+        and encoded on those other columns, and a full word is built only
+        for the first message of each new weight.  Once every weight in
+        1..n is found, the pass draws no more and still counts as full.
         """
         if self.sampled == (budget.samples, budget.seed, tag):
             return
-        rows = self.rows
+        f, n, rows = self.code.field, self.code.n, self.rows
         nnz = np.count_nonzero(rows, axis=0)
         units = (rows[:, nnz == 1] != 0).sum(axis=1, dtype=np.float32)
-        ones = np.ones(np.count_nonzero(nnz > 1), dtype=np.float32)
-        for msgs, rest in kernels.iter_sampled_words(
-            self.code.field, rows[:, nnz > 1], budget.samples, budget.seed, tag=tag
-        ):
+        rest = rows[:, nnz > 1]
+        spread = np.minimum(np.arange(n + 1) + rest.shape[1], n) + 1
+
+        def reach():
+            """reach[b]: some weight in [b, b + rest columns] is missing."""
+            missing = np.ones(n + 1, dtype=bool)
+            missing[[0, *self.found]] = False
+            below = np.concatenate(([0], np.cumsum(missing)))  # missing weights < i
+            return below[spread] > below[:-1]
+
+        stream = kernels.PhiloxStream(f.q, budget.seed, tag)
+        chunks = stream.chunks(budget.samples, len(rows))
+        hit = reach()
+        while hit.any():
+            raw = next(chunks, None)
+            if raw is None:
+                break
+            nonzero = raw >= stream.nonzero_from
+            base = (nonzero @ units).astype(np.intp)
+            keep = hit[base]
             if self.sub is not None:
                 # a word of the subcode has a zero lead message; without a
                 # subcode that is the zero word, which weight 0 ignores
-                keep = msgs[:, :self.leads].any(axis=1)
-                msgs, rest = msgs[keep], rest[keep]
-            weights = ((msgs != 0) @ units + (rest != 0) @ ones).astype(np.intp)
+                keep &= nonzero[:, :self.leads].any(axis=1)
+            msgs, weights = stream.digit[raw[keep]], base[keep]
+            if len(msgs):
+                weights += np.count_nonzero(kernels.gf_matmul(f, msgs, rest), axis=1)
             new = [w for w in np.flatnonzero(np.bincount(weights)).tolist()
                    if w and w not in self.found]
             if new:
                 firsts = [int(np.argmax(weights == w)) for w in new]
-                words = kernels.gf_matmul(self.code.field, msgs[firsts], rows)
+                words = kernels.gf_matmul(f, msgs[firsts], rows)
                 self.found.update(zip(new, map(tuple, words.tolist())))
+                hit = reach()
             if stop in self.found:
                 return
         self.sampled = (budget.samples, budget.seed, tag)

@@ -27,6 +27,7 @@ from qmds.kernels import (
     iter_sampled_words,
     lex_rank,
     null_space,
+    PhiloxStream,
     philox,
     probe_support,
     projective_count,
@@ -691,6 +692,50 @@ def test_philox_streams_are_keyed():
     assert (a == b).all()
     assert not (a == c).all()
     assert not (a == d).all()
+
+
+# consecutive calls of uneven size: the tail of each call's last 32-bit
+# word is dropped, and whole words drawn past a call carry to the next
+STREAM_SHAPES = [(1, 1), (3, 1), (37, 3), (4096, 17), (4096, 41)]
+
+
+def assert_stream_matches_integers(stream, q, seed, tag, shapes):
+    """stream decodes, call after call, what philox(seed, tag).integers
+    draws for the same shapes."""
+    rng = philox(seed, tag)
+    for shape in shapes:
+        want = rng.integers(0, q, size=shape, dtype=np.uint8)
+        raw = stream.raw(*shape)
+        assert raw.dtype == np.uint8 and raw.shape == shape
+        assert (stream.digit[raw] == want).all()
+        assert ((raw >= stream.nonzero_from) == (want != 0)).all()
+
+
+@pytest.mark.parametrize("q", prime_powers_to(256))
+def test_philox_stream_matches_integers(q):
+    for seed, tag in ((0xC0DE, 0x77), (7, (5 << 32) | 3)):
+        assert_stream_matches_integers(PhiloxStream(q, seed, tag), q, seed, tag, STREAM_SHAPES)
+
+
+def test_philox_stream_draws_until_enough_bytes_are_accepted():
+    # 256 mod 131 = 125, so about half of GF(131)'s bytes are skipped.  A
+    # stream that expects to skip none draws too little on every round and
+    # must keep drawing more words until the call is filled
+    stream = PhiloxStream(131, 3, 9)
+    stream._rate = 1.0
+    assert_stream_matches_integers(stream, 131, 3, 9, STREAM_SHAPES + [(1, 1)] * 5)
+
+
+@pytest.mark.skipif(not os.environ.get("QMDS_HEAVY"), reason="set QMDS_HEAVY=1 for the wide sweep")
+def test_philox_stream_wide_sweep():
+    rng = random.Random(2024)
+    for q in prime_powers_to(256):
+        for seed in (0, 1, 0xC0DE, 2**64 - 1, rng.getrandbits(64)):
+            tag = rng.getrandbits(64)
+            shapes = STREAM_SHAPES + [(0, 7), (5, 0)] + [
+                (rng.randrange(1, 6000), rng.randrange(1, 60)) for _ in range(12)]
+            rng.shuffle(shapes)
+            assert_stream_matches_integers(PhiloxStream(q, seed, tag), q, seed, tag, shapes)
 
 
 def test_sampled_words_deterministic_and_in_code():

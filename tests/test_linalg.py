@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from qmds import kernels
 from qmds.budgets import SAMPLE_CHUNK, SearchBudget
 from qmds.errors import (
     BadCoordinate,
@@ -18,7 +19,7 @@ from qmds.errors import (
     ZeroDimensional,
 )
 from qmds.gf import build_field, conjugate_table, field_for_order
-from qmds.kernels import gf_matmul, iter_sampled_words, null_space
+from qmds.kernels import gf_matmul, null_space, philox
 from qmds.linalg import (
     WordSearch,
     _extension_rows,
@@ -607,11 +608,17 @@ SAMPLE_COUNT = 2 * SAMPLE_CHUNK + 37
 
 
 def reference_sample(search, count, seed, tag, stop=None):
-    """What WordSearch.sample records, from full encoded words: the first
-    word of each weight in stream order, cut after the chunk that first
-    holds weight stop."""
+    """What WordSearch.sample records, from numpy's own draws of
+    philox(seed, tag), SAMPLE_CHUNK messages at a time, each encoded in
+    full: the first word of each weight in stream order, cut after the
+    chunk that first holds weight stop."""
+    f, rows = search.code.field, search.rows
+    rng = philox(seed, tag)
     found = {}
-    for msgs, words in iter_sampled_words(search.code.field, search.rows, count, seed, tag=tag):
+    for start in range(0, count, SAMPLE_CHUNK):
+        size = (min(SAMPLE_CHUNK, count - start), len(rows))
+        msgs = rng.integers(0, f.q, size=size, dtype=np.uint8)
+        words = gf_matmul(f, msgs, rows)
         if search.sub is not None:
             words = words[msgs[:, :search.leads].any(axis=1)]
         for word in words.tolist():
@@ -643,6 +650,64 @@ def test_sample_matches_full_encoding(p, m):
             search, cut = sampled_found(code, sub, seed=p + m, stop=stop)
             assert search.found == cut and stop in cut
             assert search.sampled is None
+
+
+def test_sample_matches_full_encoding_without_unit_columns():
+    # relative to a dense subcode no column of the rows has a single
+    # nonzero entry: every message's weight bound is [0, n], and every
+    # message is encoded
+    f = build_field(5)
+    rng = random.Random(3)
+    code = random_code(f, 9, 4, rng)
+    sub = random_subcode(f, code, 2, rng)
+    search, want = sampled_found(code, sub, seed=5)
+    assert (np.count_nonzero(search.rows, axis=0) > 1).all()
+    assert search.found == want and len(want) > 3
+    assert search.sampled == (SAMPLE_COUNT, 5, 0x5A)
+
+
+def test_sample_matches_full_encoding_and_stops_drawing_once_complete(monkeypatch):
+    # the first chunk of GF(5)**3 holds every weight 1..3, so the pass
+    # draws one chunk of its three and still counts as full
+    f = build_field(5)
+    code = linear_code(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    draws = []
+    raw = kernels.PhiloxStream.raw
+    monkeypatch.setattr(kernels.PhiloxStream, "raw",
+                        lambda self, cnt, k: draws.append(cnt) or raw(self, cnt, k))
+    search, want = sampled_found(code, None, seed=11)
+    assert search.found == want and sorted(want) == [1, 2, 3]
+    assert draws == [SAMPLE_CHUNK] and SAMPLE_COUNT > 2 * SAMPLE_CHUNK
+    assert search.sampled == (SAMPLE_COUNT, 11, 0x5A)
+    # a later pass with found complete draws nothing
+    draws.clear()
+    search.sample(SearchBudget(samples=SAMPLE_COUNT, seed=12), tag=0x5A)
+    assert draws == [] and search.sampled == (SAMPLE_COUNT, 12, 0x5A)
+
+
+@pytest.mark.parametrize("seed,late", [(13, 15), (14, 1)])
+def test_sample_matches_full_encoding_where_weight_is_the_bound(seed, late):
+    # over the identity every column is a unit column, so a message's
+    # bound is its weight alone.  In GF(2)**16 the weight `late` is missing
+    # from the first chunk of this stream while a weight next to it is not,
+    # and the pass must still encode its first message in a later chunk
+    f = build_field(2)
+    code = linear_code(f, np.eye(16, dtype=np.uint8))
+    search, want = sampled_found(code, None, seed=seed)
+    assert search.found == want and late in want
+
+
+def test_sample_matches_full_encoding_relative_cut_at_stop():
+    # relative to span(e0) every weight 1..3 is found in the first chunk;
+    # the stop cut still comes first, and the pass does not count as full
+    f = build_field(5)
+    code = linear_code(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    sub = linear_code(f, [(1, 0, 0)])
+    for stop in (1, 2, 3):
+        search, want = sampled_found(code, sub, seed=11, stop=stop)
+        assert search.found == want and sorted(want) == [1, 2, 3]
+        assert search.sampled is None
+        assert all(word[1] or word[2] for word in want.values())
 
 
 # RREF generators that are their own reduced form: unit columns scaled by

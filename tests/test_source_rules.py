@@ -121,3 +121,31 @@ def test_search_policy_lives_in_word_search():
                     and node.attr in ("enum", "support", "samples") and id(node) not in light):
                 bad.append(f"{path}:{node.lineno}: budget.{node.attr}")
     assert not bad, bad
+
+
+def test_every_sample_draws_through_the_philox_stream():
+    """Every sampled stream is read by kernels.PhiloxStream; numpy's own
+    Generator.integers stays the oracle in tests only."""
+    bad = [
+        f"{path}:{node.lineno}: calls .integers"
+        for path in MODULES
+        for node in ast.walk(parsed(path))
+        if calls(node, "integers")
+    ]
+    assert not bad, bad
+
+
+def test_no_module_imports_the_test_oracles():
+    """The oracles check the package; the package never leans on them."""
+    bad = []
+    for path in MODULES:
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            bad += [f"{path}:{node.lineno}: {name}" for name in names
+                    if "oracles" in name.split(".")]
+    assert not bad, bad
