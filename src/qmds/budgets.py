@@ -66,7 +66,7 @@ class SearchBudget:
     compares them with a cost, so it alone decides which route runs.
 
     enum: projective (or coset) classes an exhaustive enumeration may visit,
-        compared against WordSearch.enum_cost by WordSearch.enumerable.
+        compared against their count by WordSearch.enumerable.
     support: per-level gate of WordSearch.scan, compared against
         C(n, w) * max(min(k, n-k), 1)**3.
     samples: random messages drawn by the sampling route.

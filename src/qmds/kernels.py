@@ -282,7 +282,7 @@ def _may_depend(field, pm: np.ndarray, last: np.ndarray) -> np.ndarray:
     return (keys[:, 0] == 0) | (keys[:, 1:] == keys[:, :-1]).any(axis=1)
 
 
-def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces: bool = False):
+def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = False):
     """Yield every dependent `size`-column subset of the (r, n) matrix, for
     1 <= size <= r, in lexicographic order: (m, size) arrays of sorted
     column indices, one per chunk of leaves that holds any.
@@ -294,8 +294,8 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces:
     exactly when P[:, c] is zero.  A child keeps P after one rank-1 update
     that clears its column, minus the pivot row.  A dependent child gets
     P = 0 instead, so every completion of it is dependent in turn.  Children
-    are built in chunks of at most `chunk` (or the children of one node, if
-    more), which bounds memory; the walk advances only as far as its
+    are built in chunks of at most SCAN_CHUNK (or the children of one node,
+    if more), which bounds memory; the walk advances only as far as its
     consumer reads.
 
     A child c of a node at depth size - 2 has a dependent child c' > c
@@ -363,7 +363,7 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces:
         start = 0
         while start < len(fan):
             base = fan[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(fan, base + chunk, side="right")))
+            stop = max(start + 1, int(np.searchsorted(fan, base + SCAN_CHUNK, side="right")))
             grow = kids[start:stop]
             if j == size - 2:
                 grow = grow & _may_depend(field, pm[start:stop], last[start:stop])[:, None]
@@ -383,7 +383,7 @@ def dependent_supports(field, mat: np.ndarray, size: int, chunk: int, necklaces:
 def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
     """True when every `size` columns of the (r, n) matrix are independent,
     for 1 <= size <= r: when dependent_supports yields nothing."""
-    return next(dependent_supports(field, mat, size, SCAN_CHUNK), None) is None
+    return next(dependent_supports(field, mat, size), None) is None
 
 
 def lex_rank(n: int, support) -> int:
@@ -672,7 +672,7 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
     r, n = parity.shape
 
     def dependent(necklaces):
-        for found in dependent_supports(field, parity, w, SCAN_CHUNK, necklaces):
+        for found in dependent_supports(field, parity, w, necklaces):
             ranks = batch_rank(field, parity[:, found].transpose(1, 0, 2))
             indep = np.flatnonzero(ranks == w)
             if len(indep):

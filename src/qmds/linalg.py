@@ -454,12 +454,13 @@ class WordSearch:
                 return
         self.sampled = (budget.samples, budget.seed, tag)
 
-    def lowest(self, budget: SearchBudget, tag: int) -> WeightResult:
+    def lowest(self, budget: SearchBudget) -> WeightResult:
         """Lowest weight: enumerate when enumerable, else scan levels upward
         while each one proves its weight absent, then sample down to the
         proven floor unless its scan found a word.  A level is scanned only
         once every lower weight is absent, so the first word it finds has
-        the lowest weight."""
+        the lowest weight.  The sample's tag is 0x31 without a subcode and
+        0x32 with one, so one question always draws the same stream."""
         if self.enumerable(budget):
             self.enumerate()
             w = min(self.found)
@@ -468,7 +469,7 @@ class WordSearch:
         while floor <= self.code.n and self.scan(floor, budget) and floor in self.absent:
             floor += 1
         if floor not in self.found:
-            self.sample(budget, tag, stop=floor)
+            self.sample(budget, 0x32 if self.sub else 0x31, stop=floor)
         best = min(self.found, default=None)
         status = "exact" if best == floor else "lower_bound_only"
         return WeightResult(best, self.found.get(best), status, floor)
@@ -519,7 +520,7 @@ def min_weight(code: LinearCode, budget: SearchBudget = DEFAULT_BUDGET) -> Weigh
     if mds:
         d = code.n - code.k + 1
         return WeightResult(d, _mds_witness(code), "exact", d)
-    return WordSearch(code).lowest(budget, tag=0x31)
+    return WordSearch(code).lowest(budget)
 
 
 def min_weight_relative(
@@ -535,4 +536,4 @@ def min_weight_relative(
         raise NotASubcode("second argument is not a subcode of the first")
     if big.k == sub.k:
         return WeightResult(None, None, "undefined", 0)
-    return WordSearch(big, sub).lowest(budget, tag=0x32)
+    return WordSearch(big, sub).lowest(budget)

@@ -97,7 +97,6 @@ def stabilizer_from_self_orthogonal(
     budget: SearchBudget = DEFAULT_BUDGET,
     *,
     d_floor: int = 1,
-    prefer_relative: bool = False,
     provenance: tuple[str, ...] = (),
 ) -> QuantumCodeParams:
     """Parameter record of the stabilizer code defined by a self-orthogonal D.
@@ -105,9 +104,11 @@ def stabilizer_from_self_orthogonal(
     d_floor may carry an external certified lower bound on the minimum
     weight of D* (for pipeline codes, the bound inherited from the parent
     MDS code).  The distance is settled, in order of preference, by an
-    exact relative search when that is affordable or prefer_relative asks
-    for it, by squeezing the bounds against the quantum Singleton cap, or
-    reported as a floor with d_exact=False.
+    exact relative search, by squeezing the bounds against the quantum
+    Singleton cap, or reported as a floor with d_exact=False.  The relative
+    search runs when D is over an alphabet q <= 3, when its enumeration
+    fits budget.enum, or when the floor on d(D*) is below the cap.  The
+    rule reads only D, d_floor and the budget, never the caller.
     """
     big = d_code.field
     q0 = subfield_order(big)
@@ -131,8 +132,8 @@ def stabilizer_from_self_orthogonal(
         raise Contradiction(f"floor {dstar_floor} on d(D*) exceeds the Singleton cap")
     # words of D* outside D; D is a proper subcode, since kq > 0
     search = WordSearch(dstar, d_code)
-    settle = prefer_relative or search.enumerable(budget) or dstar_floor < cap
-    rel = search.lowest(budget, 0x32) if settle else None
+    settle = q0 <= 3 or search.enumerable(budget) or dstar_floor < cap
+    rel = search.lowest(budget) if settle else None
     if (rel is None or not rel.exact) and dstar_floor == cap:
         return QuantumCodeParams(
             q0, n, kq, cap, "yes", True, prov + ("singleton-squeeze",)
@@ -298,7 +299,6 @@ def family_q2plus1(
             raise Contradiction("rescaling changed the dimension of the code")
         params = stabilizer_from_self_orthogonal(
             d_code, budget, d_floor=floor,
-            prefer_relative=q <= 3,
             provenance=(f"mds({Q},{d})", pc.source, f"w={w}", "rescale"),
         )
         if params.d_exact:
@@ -548,9 +548,8 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
     Statuses: verified (exact distance computed here), claimed (record
     derived without its own exact check), literature (imported or derived
     from imported records), absent (this pipeline provably lacks the
-    length), unknown.  The searches run on a light budget: the scan gate
-    capped at 5 * 10**8 and the samples at 10**6, so larger ones change
-    nothing here.
+    length), unknown.  Every search runs at the budget given, so each
+    record is the one the pipeline and verify give for its code.
     """
     field_for_order(q)
     nmax = q * q + 2
@@ -560,9 +559,6 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
             for d in range(2, q + 2)
             for n in range(2 * d - 2, nmax + 1)
         )
-    light = replace(
-        budget, support=min(budget.support, 5 * 10**8), samples=min(budget.samples, 10**6)
-    )
     cells: dict[tuple[int, int], str] = {}
 
     def put(d, n, status):
@@ -573,12 +569,12 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
     derived: list[QuantumCodeParams] = []
     for n in range(2, nmax + 1):
         try:
-            params, _ = family_distance2(q, n, light)
+            params, _ = family_distance2(q, n, budget)
             put(2, n, _status_of(params))
         except NotKnown:
             put(2, n, "unknown")
     for d in range(3, q + 2):
-        scan = run_pipeline(q, d, light)
+        scan = run_pipeline(q, d, budget)
         for res in scan.presence:
             if res.found:
                 continue
@@ -588,7 +584,7 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
             derived.append(rec)
     if q in (2, 4, 8):
         m = q.bit_length() - 1
-        params, _, _, _ = char2_q2plus2(m, light)
+        params, _, _, _ = char2_q2plus2(m, budget)
         put(4, params.n, _status_of(params))
         derived.append(params)
     for rec in derived:

@@ -131,6 +131,26 @@ def test_qmds_verify_round_trip(capsys, tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 3), (3, 4)])
+def test_verify_settles_each_witness_as_the_pipeline_did(capsys, tmp_path, q, d):
+    """verify of every witness qmds prints gives the pipeline's record for
+    that length, down to the route that settled its distance."""
+    status, payload = run_json(capsys, "qmds", str(q), str(d))
+    assert status == 0
+    records = {r["n"]: r for r in payload["records"]}
+    found = [r for r in payload["presence"] if "witness" in r]
+    assert found and len(found) == len(records)
+    for row in found:
+        path = tmp_path / f"w{row['weight']}.json"
+        path.write_text(json.dumps(row["witness"]))
+        status, check = run_json(capsys, "verify", str(path))
+        assert status == 0 and check["ok"] is True
+        got, want = check["record"], records[row["weight"]]
+        for key in ("q", "n", "k", "d", "pure", "d_exact"):
+            assert got[key] == want[key], (row["weight"], key)
+        assert got["provenance"][-1] == want["provenance"][-1], row["weight"]
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_q2p2_witness_round_trip(capsys, tmp_path, m):
     status, payload = run_json(capsys, "q2p2", str(m))

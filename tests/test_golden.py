@@ -37,7 +37,10 @@ over GF(8), then rescales them and settles the distance over GF(64), and
 odd characteristic.  The last one was recorded at commit a9dde9c, before
 the sampler read a word's weight off its message on unit columns:
 `--seed 7 qmds 5 4` runs the full 10**6-message sampling pass, with no
-subcode, on a Philox stream that no other case draws.
+subcode, on a Philox stream that no other case draws.  The last one was
+recorded on top of commit 6a17b0d, once figdata searched at the budget it
+is given: `figdata 5` is the grid the length conjecture's evidence reads,
+each cell settled as the pipeline settles its code.
 """
 
 import hashlib
@@ -120,6 +123,9 @@ GOLDEN = [
     # the full default sampling pass on another seed's stream
     (("--seed", "7", "qmds", "5", "4"),
      "e5a70f8a26e095cf71e0dd72e4e9afdf40bcc6bf20b3ae76d975da9844930d37", 0),
+    # the achievability grid, each cell settled at the default budget
+    (("figdata", "5"),
+     "a44f63b5491d66e5e31258dd138033e59342de8608a46ea73bc0340983937cb5", 0),
 ]
 
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -364,10 +365,10 @@ def test_independent_subsets_across_chunk_boundaries(monkeypatch, chunk):
             assert independent_subsets(f, mat, size) is not dependent_subsets(f, mat, size)
 
 
-def tree_supports(f, mat, size, chunk, necklaces=False):
+def tree_supports(f, mat, size, necklaces=False):
     """Every support dependent_supports yields, as tuples in yield order."""
     out = []
-    for found in dependent_supports(f, mat, size, chunk, necklaces):
+    for found in dependent_supports(f, mat, size, necklaces):
         assert found.ndim == 2 and found.shape[1] == size and len(found)
         out += [tuple(s) for s in found.tolist()]
     return out
@@ -375,7 +376,8 @@ def tree_supports(f, mat, size, chunk, necklaces=False):
 
 @pytest.mark.parametrize("chunk", [1, 5, SCAN_CHUNK])
 @pytest.mark.parametrize("f", KERNEL_FIELDS, ids=lambda f: f"GF{f.q}")
-def test_dependent_supports_match_batch_rank(f, chunk):
+def test_dependent_supports_match_batch_rank(monkeypatch, f, chunk):
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
     rng = random.Random(110 + f.q + chunk)
     r, n = 4, 7
     for size in range(1, r + 1):
@@ -394,10 +396,10 @@ def test_dependent_supports_match_batch_rank(f, chunk):
             cases.append((planted_last(f, rng, min(r, m - 1), m, small), small))
         for mat, sz in cases:
             want = dependent_subsets(f, mat, sz)
-            assert tree_supports(f, mat, sz, chunk) == want
+            assert tree_supports(f, mat, sz) == want
             if want:
                 # the lexicographically first dependent support comes first
-                first = next(dependent_supports(f, mat, sz, chunk))
+                first = next(dependent_supports(f, mat, sz))
                 assert tuple(first[0].tolist()) == want[0]
 
 
@@ -452,16 +454,17 @@ MDS_WALK_SPECS = [(7, 4), (8, 5), (9, 3), (16, 5), (49, 4), (64, 5)]
 
 @pytest.mark.parametrize("necklaces", [False, True])
 @pytest.mark.parametrize("chunk", [1, 5, SCAN_CHUNK])
-def test_walk_prunes_only_nodes_without_a_dependent_grandchild(chunk, necklaces):
+def test_walk_prunes_only_nodes_without_a_dependent_grandchild(monkeypatch, chunk, necklaces):
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
     for f in (F2, F5, F7, F9, F64, field_for_order(256)):
         rng = random.Random(f.q * 31 + chunk)
         for mat, size in pruning_cases(f, rng):
             want = walk_oracle(f, mat, size, necklaces)
-            assert tree_supports(f, mat, size, chunk, necklaces) == want, (f.q, mat.tolist(), size)
+            assert tree_supports(f, mat, size, necklaces) == want, (f.q, mat.tolist(), size)
     for Q, d in MDS_WALK_SPECS:
         code = build_code(mds_spec(Q, d))
         assert code.n - code.k == d - 1
-        assert tree_supports(code.field, code.parity_matrix, d - 1, chunk, necklaces) == [], (Q, d)
+        assert tree_supports(code.field, code.parity_matrix, d - 1, necklaces) == [], (Q, d)
 
 
 def test_mds_check_clears_few_children(monkeypatch):
@@ -508,9 +511,11 @@ def test_walk_property_matches_brute_force(data):
     f, mat = mixed_matrix(data, q, r, n)
     necklaces = data.draw(st.booleans())
     chunk = data.draw(st.sampled_from([1, 5, SCAN_CHUNK]))
-    for size in range(1, min(r, n) + 1):
-        want = walk_oracle(f, mat, size, necklaces)
-        assert tree_supports(f, mat, size, chunk, necklaces) == want, size
+    # a function-scoped fixture would outlive one example, so patch per example
+    with mock.patch.object(kernels, "SCAN_CHUNK", chunk):
+        for size in range(1, min(r, n) + 1):
+            want = walk_oracle(f, mat, size, necklaces)
+            assert tree_supports(f, mat, size, necklaces) == want, size
 
 
 def test_lex_rank_is_the_combinations_index():
@@ -937,23 +942,24 @@ def test_necklace_walk_yields_one_support_per_rotation_orbit(q, d, top):
     parity = code.parity_matrix
     for w in range(1, min(len(parity), top or n) + 1):
         neck = []
-        for found in dependent_supports(f, parity, w, SCAN_CHUNK, necklaces=True):
+        for found in dependent_supports(f, parity, w, necklaces=True):
             neck += [tuple(s) for s in found.tolist()]
         assert neck == sorted(neck), w
         assert all(least_rotation(s, n) == s for s in neck), w
         orbits = {tuple(sorted((c + t) % n for c in s)) for s in neck for t in range(n)}
-        assert orbits == set(tree_supports(f, parity, w, SCAN_CHUNK)), w
+        assert orbits == set(tree_supports(f, parity, w)), w
 
 
 @pytest.mark.parametrize("n", range(1, 12))
-def test_necklace_walk_on_a_zero_matrix_yields_every_least_rotation(n):
+def test_necklace_walk_on_a_zero_matrix_yields_every_least_rotation(monkeypatch, n):
     # every subset is dependent, so the walk yields every necklace
     for w in range(1, n + 1):
         zero = np.zeros((w, n), dtype=np.uint8)
         want = sorted({least_rotation(s, n) for s in itertools.combinations(range(n), w)})
         for chunk in (1, 7, SCAN_CHUNK):
+            monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
             got = []
-            for found in dependent_supports(F3, zero, w, chunk, necklaces=True):
+            for found in dependent_supports(F3, zero, w, necklaces=True):
                 got += [tuple(s) for s in found.tolist()]
             assert got == want, (w, chunk)
 
@@ -966,7 +972,7 @@ def orbit_scans(monkeypatch, reference, seed=11):
     walk = kernels.dependent_supports
 
     def logged(*args):
-        walks.append(args[4])
+        walks.append(args[3])
         return walk(*args)
 
     monkeypatch.setattr(kernels, "dependent_supports", logged)
@@ -1008,7 +1014,7 @@ def test_orbit_scan_cross_checks_what_the_necklace_walk_yields(monkeypatch):
     )
     monkeypatch.setattr(
         kernels, "dependent_supports",
-        lambda *args: iter([np.array([indep])] if args[4] else []),
+        lambda *args: iter([np.array([indep])] if args[3] else []),
     )
     out = scan_level(F5, parity, 3, 0)
     assert out.witness is None and out.completed

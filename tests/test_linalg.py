@@ -339,7 +339,7 @@ def test_min_weight_matches_brute_force(q, n, k):
         assert c.contains(got.witness)
         # the ladder itself, past the MDS shortcut, on every route
         for route, budget in route_budgets(n, k).items():
-            check_lowest(WordSearch(c).lowest(budget, tag=0x31), brute, c.contains, route)
+            check_lowest(WordSearch(c).lowest(budget), brute, c.contains, route)
             check_lowest(min_weight(c, budget), brute, c.contains, route,
                          mds=brute == n - k + 1)
     with pytest.raises(ZeroDimensional):
@@ -368,9 +368,9 @@ def test_min_weight_searches_when_the_mds_check_is_too_large(monkeypatch):
     searched = []
     lowest = WordSearch.lowest
 
-    def counted(self, budget, tag):
+    def counted(self, budget):
         searched.append(self.code)
-        return lowest(self, budget, tag)
+        return lowest(self, budget)
 
     monkeypatch.setattr(WordSearch, "lowest", counted)
     rng = random.Random(17)
@@ -456,7 +456,7 @@ def test_scan_route_returns_the_reference_witness_of_the_lowest_level(q):
         budget = SearchBudget(enum=1, support=10**12, samples=0, seed=seed)
         for s, brute in ((None, brute_min_weight(big)),
                          (sub, brute_min_weight_relative(big, sub))):
-            got = WordSearch(big, s).lowest(budget, tag=0x31)
+            got = WordSearch(big, s).lowest(budget)
             assert got.exact and got.value == brute, (big, s)
             ref = oracles.scan_level(
                 f, big.parity_matrix, brute, seed, sub=None if s is None else s.parity_matrix

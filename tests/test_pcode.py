@@ -241,7 +241,7 @@ def test_spectrum_after_lowest_keeps_every_verdict():
     fresh = weight_spectrum(puncture_spectral(mds_spec(16, 3)), None, budget)
     assert any(r.found for r in fresh)
     pc = puncture_spectral(mds_spec(16, 3))
-    pc.lowest(budget, 0x31)
+    pc.lowest(budget)
     after = weight_spectrum(pc, None, budget)
     for a, b in zip(fresh, after):
         if a.verdict != "UnknownWithinBudget":

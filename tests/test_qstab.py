@@ -1,5 +1,6 @@
 """Stabilizer parameter derivation, families, conjecture reports, registry."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -102,25 +103,24 @@ def test_relative_search_runs_exactly_when_the_settle_rule_asks(monkeypatch, bud
     """Over the 6B and 6C pipeline records, their D codes again with no
     inherited floor, and one D whose D* has distance 1,
     stabilizer_from_self_orthogonal runs the relative lowest exactly when
-    prefer_relative is set, the relative enumeration fits budget.enum, or
-    the floor on d(D*) is below the Singleton cap."""
+    D is over an alphabet q <= 3, the relative enumeration fits
+    budget.enum, or the floor on d(D*) is below the Singleton cap."""
     relative = []
     lowest = WordSearch.lowest
 
-    def counted(self, budget, tag):
+    def counted(self, budget):
         if self.sub is not None:
-            relative.append(tag)
-        return lowest(self, budget, tag)
+            relative.append(self)
+        return lowest(self, budget)
 
     monkeypatch.setattr(WordSearch, "lowest", counted)
     stab = qstab.stabilizer_from_self_orthogonal
     calls = []
 
-    def watched(d_code, budget, *, d_floor=1, prefer_relative=False, provenance=()):
+    def watched(d_code, budget, *, d_floor=1, provenance=()):
         before = len(relative)
-        out = stab(d_code, budget, d_floor=d_floor, prefer_relative=prefer_relative,
-                   provenance=provenance)
-        calls.append((d_code, d_floor, prefer_relative, len(relative) - before))
+        out = stab(d_code, budget, d_floor=d_floor, provenance=provenance)
+        calls.append((d_code, d_floor, len(relative) - before))
         return out
 
     monkeypatch.setattr(qstab, "stabilizer_from_self_orthogonal", watched)
@@ -128,11 +128,14 @@ def test_relative_search_runs_exactly_when_the_settle_rule_asks(monkeypatch, bud
         run_pipeline(q, d, budget)
     for d_code, *_ in list(calls):
         watched(d_code, budget)
-    # D* = {x : x0 = x1} holds weight-1 words: a floor below the cap of 2
-    watched(linear_code(build_field(2, 2), [[1, 1] + [0] * 10]), budget)
+    # D* = {x : x0 = x1} holds weight-1 words: a floor below the cap of 2;
+    # over GF(16), q = 4, that floor alone asks for the relative search
+    for m in (2, 4):
+        watched(linear_code(build_field(2, m), [[1, 1] + [0] * 10]), budget)
     reasons = set()
-    for d_code, d_floor, prefer, ran in calls:
+    for d_code, d_floor, ran in calls:
         kt, n, Q = d_code.k, d_code.n, d_code.field.q
+        small = math.isqrt(Q) <= 3
         if n == 2 * kt:  # no logical qudit: D* alone, no relative search
             assert ran == 0
             continue
@@ -140,10 +143,10 @@ def test_relative_search_runs_exactly_when_the_settle_rule_asks(monkeypatch, bud
         dstar = dual(d_code, "hermitian")
         floor = d_floor if d_floor >= cap else max(d_floor, min_weight(dstar, budget).floor)
         fits = Q**kt * (Q ** (dstar.k - kt) - 1) // (Q - 1) <= budget.enum
-        assert ran == int(prefer or fits or floor < cap), (d_code, d_floor, prefer)
-        reasons.add((prefer, fits, floor < cap))
+        assert ran == int(small or fits or floor < cap), (d_code, d_floor, small)
+        reasons.add((small, fits, floor < cap))
     assert {(False, False, False), (False, False, True)} <= reasons
-    assert any(prefer for prefer, _, _ in reasons) and (False, True, False) in reasons
+    assert any(small for small, _, _ in reasons) and (False, True, False) in reasons
 
 
 def test_shorten_params_chain():
@@ -300,6 +303,20 @@ def test_figdata_grid_small():
     assert cells[(3, 5)] == "verified"
     assert cells[(3, 4)] == "absent"
     assert cells[(4, 6)] == "verified"
+
+
+def test_figdata_settles_each_code_as_the_pipeline_does():
+    """figdata searches at the budget it is given: [[8,2,4]]_5 is verified
+    and w = 11 is proven absent for d = 5, as run_pipeline finds them at the
+    default budget; every exact pipeline record is a verified cell."""
+    cells = {(d, n): status for _, d, n, status in figdata(5)}
+    assert cells[(4, 8)] == "verified" and cells[(5, 11)] == "absent"
+    four, five = run_pipeline(5, 4), run_pipeline(5, 5)
+    assert any(rec.n == 8 and rec.d_exact for rec in four.records)
+    assert five.presence_by_weight()[11].verdict == "ProvenAbsent"
+    for d, scan in ((4, four), (5, five)):
+        for rec in scan.records:
+            assert not rec.d_exact or cells[(d, rec.n)] == "verified", rec
 
 
 def test_figdata_out_of_range_alphabet():

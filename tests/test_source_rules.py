@@ -95,30 +95,20 @@ def test_search_policy_lives_in_word_search():
     """Outside linalg.py (WordSearch and the MDS check) and budgets.py, no
     module reads a budget's ceilings, a route's cost or cap, or defines or
     reads a *_gate.  Every search function takes its SearchBudget as
-    `budget`.  The one exception is the light budget figdata derives from
-    the caller's, a read of two ceilings."""
-    policy = {"enum_cost", "MDS_SUBSET_CAP"}
+    `budget`."""
+    policy = {"MDS_SUBSET_CAP"}
     bad = []
     for path in MODULES:
         if path.name in ("linalg.py", "budgets.py"):
             continue
-        tree = parsed(path)
-        # figdata caps the caller's support and samples for its light budget
-        light = {
-            id(node)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("qstab.py", "figdata")
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Attribute) and node.attr in ("support", "samples")
-        }
-        for node in ast.walk(tree):
+        for node in ast.walk(parsed(path)):
             # a name read, an attribute, or the name a def or an import binds
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
                 node, "name", None)
             if name and (name in policy or name.endswith("_gate")):
                 bad.append(f"{path}:{node.lineno}: {name}")
             if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "budget"
-                    and node.attr in ("enum", "support", "samples") and id(node) not in light):
+                    and node.attr in ("enum", "support", "samples")):
                 bad.append(f"{path}:{node.lineno}: budget.{node.attr}")
     assert not bad, bad
 
