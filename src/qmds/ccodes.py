@@ -221,7 +221,6 @@ def bch_ht_bound(spec: ConstacyclicSpec) -> int:
         return n + 1
     ceiling = len(z) + 1
     best = 2
-    run_ht = n <= 100
     for e1 in range(1, n):
         if math.gcd(e1, n) != 1:
             continue
@@ -234,8 +233,6 @@ def bch_ht_bound(spec: ConstacyclicSpec) -> int:
             best = max(best, ell + 1)
             if best == ceiling:
                 return best
-            if not run_ht:
-                continue
             for e2 in range(1, n):
                 if math.gcd(e2, n) > ell:
                     continue

@@ -13,28 +13,22 @@ import sys
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .ccodes import bch_ht_bound, build_code, mds_spec, spec_to_dict
-from .errors import Contradiction, NotKnown, QmdsError, TooLarge
+from .errors import BadS, Contradiction, NotKnown, QmdsError, TooLarge
 from .gf import build_field, field_for_order
 from .linalg import dual, mds_verify
-from .pcode import (
-    in_puncture_code,
-    puncture_direct,
-    puncture_spectral,
-    rescale_self_orthogonal,
-    weight_spectrum,
-)
+from .pcode import in_puncture_code, puncture_direct, puncture_spectral, weight_spectrum
 from .qstab import (
-    Registry,
     char2_q2plus2,
     conjecture_report,
     distance4_char2_report,
     family_distance2,
     figdata,
-    norm_triple_code,
+    literature_records,
     qmds_check,
     run_pipeline,
     shorten_params,
-    stabilizer_from_self_orthogonal,
+    shortenings,
+    witness_family,
 )
 
 
@@ -244,14 +238,17 @@ def cmd_q2p2(args, out) -> int:
 
 
 def cmd_shorten(args, out) -> int:
-    registry = Registry()
-    registry.load_literature()
-    key = Registry.parse_key(args.key)
-    rec = registry.get(key)
+    parts = args.key.split(":")
+    if len(parts) != 4:
+        raise BadS(f"registry keys look like q:n:k:d, got {args.key!r}")
+    try:
+        key = tuple(int(t) for t in parts)
+    except ValueError:
+        raise BadS(f"registry keys need integers, got {args.key!r}") from None
+    rec = literature_records().get(key)
     if rec is None:
         raise QmdsError(f"no registry record with key {args.key!r}")
-    child = shorten_params(rec, args.s)
-    out.emit(_canonical(child.to_dict()))
+    out.emit(_canonical(shorten_params(rec, args.s).to_dict()))
     return 0
 
 
@@ -273,15 +270,8 @@ def cmd_verify(args, out) -> int:
     entries = _witness_entries(rec)
     weight = sum(1 for v in entries.values() if v)
     checks = {"weight_matches": weight == rec["weight"] == len(rec["support"])}
-    if q in (2, 4, 8, 16) and (n, d) == (q * q + 2, 4):
-        # a q2p2 witness: the norm-triple code, settled with no inherited floor
-        _, c_code, pc = norm_triple_code(q.bit_length() - 1)
-        floor, prov = 1, ("norm-triple-family",)
-    else:
-        spec = mds_spec(q * q, d)
-        pc = puncture_spectral(spec)
-        c_code = dual(build_code(spec), "hermitian")
-        floor, prov = bch_ht_bound(spec), (f"mds({q * q},{d})",)
+    family = witness_family(q, d, n)
+    pc = family.pc
     checks["length_matches"] = pc.base.n == n
     word = tuple(entries.get(i, 0) for i in range(pc.base.n))
     checks["in_puncture_code"] = bool(
@@ -290,14 +280,9 @@ def cmd_verify(args, out) -> int:
     payload = {"checks": checks}
     ok = all(checks.values())
     if ok:
-        support = [i for i, v in enumerate(word) if v]
-        d_code = rescale_self_orthogonal(c_code, word)
-        params = stabilizer_from_self_orthogonal(
-            d_code, budget, d_floor=floor,
-            provenance=prov + ("witness-file", f"w={weight}"),
-        )
+        _, params = family.settle(word, budget, ("witness-file", f"w={weight}"))
         payload["record"] = params.to_dict()
-        ok = params.d_exact and params.d == d and len(support) == params.n
+        ok = params.d_exact and params.d == d and params.n == weight
     payload["ok"] = ok
     out.emit(_canonical(payload))
     return 0 if ok else 1
@@ -519,17 +504,12 @@ def cmd_reproduce(args, out) -> int:
             f"char2 expect=[[{n},{k},{d}]] got={params.label()} "
             f"{'ok' if good else 'mismatch'}"
         )
-    registry = Registry()
-    registry.load_literature(only_q=q)
     closure = {}
-    for rec in registry.records():
-        expect_key = (rec.n, rec.k, rec.d)
-        good = expect_key in set(ds["literature"])
+    for rec in literature_records(q).values():
+        good = (rec.n, rec.k, rec.d) in set(ds["literature"])
         note("ok" if good else "mismatch")
         out.emit(f"literature {rec.label()} {'ok' if good else 'mismatch'}")
-        for s in range(1, rec.d):
-            child = shorten_params(rec, s)
-            closure[(child.n, child.k, child.d)] = child
+        closure.update(((c.n, c.k, c.d), c) for c in shortenings(rec))
     for want in ds["derived"]:
         child = closure.get(want)
         good = child is not None and qmds_check(child)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,6 +155,26 @@ def stabilizer_from_self_orthogonal(
     )
 
 
+@dataclass(frozen=True)
+class FamilyCode:
+    """A construction's code C over GF(q**2) and its P(C), with the floor on
+    d(D*) and the provenance that each record settled from it starts with."""
+
+    c_code: LinearCode
+    pc: PunctureCode
+    floor: int
+    provenance: tuple[str, ...]
+
+    def settle(self, x, budget: SearchBudget, tags: tuple[str, ...]):
+        """D, C rescaled along the P(C) word x, and its stabilizer record."""
+        d_code = rescale_self_orthogonal(self.c_code, x)
+        if d_code.k != self.c_code.k:
+            raise Contradiction("rescaling changed the dimension of the code")
+        return d_code, stabilizer_from_self_orthogonal(
+            d_code, budget, d_floor=self.floor, provenance=self.provenance + tags
+        )
+
+
 def shorten_params(p: QuantumCodeParams, s: int) -> QuantumCodeParams:
     """Length reduction [[n, k, d]] -> [[n-s, k+s, d-s]] for pure QMDS records."""
     if not (0 <= s < p.d):
@@ -263,29 +283,36 @@ class FamilyScan:
         return {r.weight: r for r in self.presence}
 
 
+def pipeline_code(q: int, d: int) -> tuple[ConstacyclicSpec, FamilyCode]:
+    """The spec of the distance-d MDS code over GF(q**2), length q**2 + 1,
+    and the pipeline's family code: C is its Hermitian dual, P(C) comes by
+    the spectral route, and the floor is the spec's BCH/HT bound."""
+    field_for_order(q)
+    if not (1 <= d <= q + 1):
+        raise BadDistance(f"pipeline distances run 1..{q + 1}, got {d}")
+    Q = q * q
+    spec = mds_spec(Q, d)
+    cstar = build_code(spec)
+    c_small = dual(cstar, "hermitian")
+    if cstar.k != Q + 2 - d or c_small.k != d - 1:
+        raise Contradiction(f"MDS code of distance {d} has dimension {cstar.k}")
+    floor = bch_ht_bound(spec)
+    if floor < d:
+        raise Contradiction(f"BCH/HT bound {floor} is below the design distance {d}")
+    return spec, FamilyCode(c_small, puncture_spectral(spec), floor, (f"mds({Q},{d})",))
+
+
 def family_q2plus1(
     q: int, d: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> FamilyScan:
     """Pipeline family at length up to q**2 + 1.
 
-    Builds the distance-d MDS code over GF(q**2), takes the puncture code of
-    its Hermitian dual, hunts weight-w words, and turns each witness into a
-    verified [[w, w+2-2d, d]]_q record.
+    Takes the puncture code of the pipeline code, hunts weight-w words, and
+    settles each witness into a verified [[w, w+2-2d, d]]_q record.
     """
-    field_for_order(q)
-    if not (1 <= d <= q + 1):
-        raise BadDistance(f"pipeline distances run 1..{q + 1}, got {d}")
-    Q = q * q
-    n = Q + 1
-    spec = mds_spec(Q, d)
-    cstar = build_code(spec)
-    c_small = dual(cstar, "hermitian")
-    if cstar.k != n + 1 - d or c_small.k != d - 1:
-        raise Contradiction(f"MDS code of distance {d} has dimension {cstar.k}")
-    floor = bch_ht_bound(spec)
-    if floor < d:
-        raise Contradiction(f"BCH/HT bound {floor} is below the design distance {d}")
-    pc = puncture_spectral(spec)
+    spec, family = pipeline_code(q, d)
+    pc = family.pc
+    n = pc.base.n
     wmin = max(2 * (d - 1), 1)
     presence = weight_spectrum(pc, range(wmin, n + 1), budget)
     records: list[QuantumCodeParams] = []
@@ -294,13 +321,7 @@ def family_q2plus1(
         if not res.found:
             continue
         w = res.weight
-        d_code = rescale_self_orthogonal(c_small, res.witness)
-        if d_code.k != d - 1:
-            raise Contradiction("rescaling changed the dimension of the code")
-        params = stabilizer_from_self_orthogonal(
-            d_code, budget, d_floor=floor,
-            provenance=(f"mds({Q},{d})", pc.source, f"w={w}", "rescale"),
-        )
+        _, params = family.settle(res.witness, budget, (pc.source, f"w={w}", "rescale"))
         if params.d_exact:
             if params.d != d or not qmds_check(params):
                 raise Contradiction(
@@ -316,17 +337,18 @@ def family_q2plus1(
             raise Contradiction(
                 "full-weight word guaranteed by the parity argument is missing"
             )
-    return FamilyScan(q, d, spec, floor, pc, presence, records, witnesses, guaranteed)
+    return FamilyScan(q, d, spec, family.floor, pc, presence, records, witnesses, guaranteed)
 
 
-def norm_triple_code(m: int):
-    """The length-q**2+2 code C over GF(q**2), q = 2**m, of the norm-triple
-    construction, with its P(C).
+def norm_triple_code(m: int) -> tuple[np.ndarray, FamilyCode]:
+    """H and the family code of the norm-triple construction: the
+    length-q**2+2 code C over GF(q**2), q = 2**m, with its P(C).
 
-    Returns (H, C, P), H a uint8 array.  Parity row e of H holds
-    alpha**(e*j) at the q**2 - 1 positions j, then a 1 in tail coordinate e.
-    C, spanned by the conjugated rows, is checked to be the Hermitian dual of
-    the code H defines; P is P(C) by the direct route.
+    H is a uint8 array.  Parity row e of H holds alpha**(e*j) at the
+    q**2 - 1 positions j, then a 1 in tail coordinate e.  C, spanned by the
+    conjugated rows, is checked to be the Hermitian dual of the code H
+    defines; P(C) comes by the direct route.  Records settled from it
+    inherit no floor.
     """
     if not (1 <= m <= 4):
         raise UnsupportedAlphabet(f"alphabet 2**m needs 1 <= m <= 4, got {m}")
@@ -343,7 +365,7 @@ def norm_triple_code(m: int):
     cstar = code_from_parity(big, hrows, n)
     if dual(cstar, "hermitian") != c_code:
         raise Contradiction("norm-triple code is not the Hermitian dual of its dual")
-    return hrows, c_code, puncture_direct(c_code)
+    return hrows, FamilyCode(c_code, puncture_direct(c_code), 1, ("norm-triple-family",))
 
 
 def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
@@ -351,13 +373,15 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
 
     Returns (params, witness, D, P).  The witness has full weight q**2 + 2;
     its coordinates evaluate an irreducible quadratic at subfield points, so
-    none vanish.
+    none vanish.  It is settled through the norm-triple family code, whose
+    records carry m and the quadratic after the family's provenance.
     """
-    hrows, c_code, pc = norm_triple_code(m)
+    hrows, family = norm_triple_code(m)
+    pc = family.pc
     small = build_field(2, m)
-    big = c_code.field
+    big = family.c_code.field
     q = small.q
-    n = c_code.n
+    n = pc.base.n
     emb = embed(small, big)
     tab = small.np_tables()
     # row e of the profiles holds the inverted subfield norms of row e of H
@@ -379,17 +403,22 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
     x = combo.tolist()
     if not (all(x) and pc.base.contains(x)):
         raise Contradiction("norm-triple witness is not a full-weight word of P(C)")
-    d_code = rescale_self_orthogonal(c_code, tuple(x))
-    params = stabilizer_from_self_orthogonal(
-        d_code, budget,
-        provenance=("norm-triple-family", f"m={m}", f"quadratic=({g1},{g0})"),
-    )
+    d_code, params = family.settle(tuple(x), budget, (f"m={m}", f"quadratic=({g1},{g0})"))
     if (params.n, params.k, params.d, params.d_exact) != (n, n - 6, 4, True):
         raise Contradiction(
             f"norm-triple family gave {params.label()}, not an exact [[{n},{n - 6},4]]"
         )
     pc.record(x)
     return params, tuple(x), d_code, pc
+
+
+def witness_family(q: int, d: int, n: int) -> FamilyCode:
+    """The family code a witness of [[n, ., d]]_q rescales: the norm-triple
+    code for n = q**2 + 2 and d = 4 over q = 2, 4, 8, 16, else the
+    pipeline code of (q, d)."""
+    if q in (2, 4, 8, 16) and (n, d) == (q * q + 2, 4):
+        return norm_triple_code(q.bit_length() - 1)[1]
+    return pipeline_code(q, d)[1]
 
 
 def conjecture_pc_params(q: int, d: int) -> tuple[int, int]:
@@ -417,8 +446,7 @@ def conjecture_report(qs, budget: SearchBudget = DEFAULT_BUDGET) -> list[dict]:
         except UnsupportedAlphabet:
             continue
         for d in range(2, q + 2):
-            spec = mds_spec(q * q, d)
-            pc = puncture_spectral(spec)
+            pc = pipeline_code(q, d)[1].pc
             dim_pred, dp_pred = conjecture_pc_params(q, d)
             row = {
                 "q": q,
@@ -472,57 +500,25 @@ def distance4_char2_report(ms, budget: SearchBudget = DEFAULT_BUDGET) -> list[di
     return rows
 
 
-class Registry:
-    """Parameter records keyed by (q, n, k, d), with provenance merging."""
-
-    def __init__(self):
-        self._recs: dict[tuple, QuantumCodeParams] = {}
-
-    def add(self, p: QuantumCodeParams) -> QuantumCodeParams:
-        old = self._recs.get(p.key)
-        if old is not None:
-            prov = old.provenance + tuple(
-                t for t in p.provenance if t not in old.provenance
-            )
-            p = replace(p, provenance=prov)
-        self._recs[p.key] = p
-        return p
-
-    def get(self, key: tuple) -> QuantumCodeParams | None:
-        return self._recs.get(key)
-
-    def records(self) -> list[QuantumCodeParams]:
-        return [self._recs[k] for k in sorted(self._recs)]
-
-    def load_literature(self, only_q: int | None = None) -> None:
-        path = importlib.resources.files("qmds").joinpath(
-            "data/literature_records.jsonl"
+def literature_records(q: int | None = None) -> dict[tuple, QuantumCodeParams]:
+    """The imported literature records, over alphabet q alone when q is
+    given, keyed by (q, n, k, d) in ascending order."""
+    path = importlib.resources.files("qmds").joinpath("data/literature_records.jsonl")
+    rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    recs = [
+        QuantumCodeParams(
+            r["q"], r["n"], r["k"], r["d"], r.get("pure", "yes"),
+            r.get("d_exact", True), tuple(r.get("provenance", ())),
         )
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if only_q is not None and rec["q"] != only_q:
-                continue
-            self.add(
-                QuantumCodeParams(
-                    rec["q"], rec["n"], rec["k"], rec["d"],
-                    rec.get("pure", "yes"), rec.get("d_exact", True),
-                    tuple(rec.get("provenance", ())),
-                )
-            )
+        for r in rows
+        if q is None or r["q"] == q
+    ]
+    return {p.key: p for p in sorted(recs, key=lambda p: p.key)}
 
-    @staticmethod
-    def parse_key(text: str) -> tuple[int, int, int, int]:
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise BadS(f"registry keys look like q:n:k:d, got {text!r}")
-        try:
-            q, n, k, d = (int(t) for t in parts)
-        except ValueError as exc:
-            raise BadS(f"registry keys need integers, got {text!r}") from exc
-        return (q, n, k, d)
+
+def shortenings(p: QuantumCodeParams) -> list[QuantumCodeParams]:
+    """The length reductions of p down to distance 2, s = 1 .. d-2."""
+    return [shorten_params(p, s) for s in range(1, p.d - 1)]
 
 
 def run_pipeline(q: int, d: int, budget: SearchBudget = DEFAULT_BUDGET) -> FamilyScan:
@@ -588,16 +584,11 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
         put(4, params.n, _status_of(params))
         derived.append(params)
     for rec in derived:
-        if rec.pure != "yes" or not qmds_check(rec):
-            continue
-        for s in range(1, rec.d - 1):
-            child = shorten_params(rec, s)
-            put(child.d, child.n, "claimed")
-    reg = Registry()
-    reg.load_literature(only_q=q)
-    for rec in reg.records():
+        if rec.pure == "yes" and qmds_check(rec):
+            for child in shortenings(rec):
+                put(child.d, child.n, "claimed")
+    for rec in literature_records(q).values():
         put(rec.d, rec.n, _status_of(rec))
-        for s in range(1, rec.d - 1):
-            child = shorten_params(rec, s)
+        for child in shortenings(rec):
             put(child.d, child.n, "literature")
     return ((q, d, n, cells[(d, n)]) for (d, n) in sorted(cells))

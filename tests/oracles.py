@@ -174,7 +174,6 @@ def bch_ht_reference(spec):
     if len(z) == n:
         return n + 1
     best = 2
-    run_ht = n <= 100
     for e1 in range(1, n):
         if math.gcd(e1, n) != 1:
             continue
@@ -186,8 +185,6 @@ def bch_ht_reference(spec):
                 ell += 1
             if ell + 1 > best:
                 best = ell + 1
-            if not run_ht:
-                continue
             for e2 in range(1, n):
                 if math.gcd(e2, n) > ell:
                     continue

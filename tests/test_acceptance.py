@@ -25,10 +25,10 @@ from qmds.pcode import (
     rescale_self_orthogonal,
 )
 from qmds.qstab import (
-    Registry,
     char2_q2plus2,
     conjecture_pc_params,
     conjecture_report,
+    literature_records,
     qmds_check,
     run_pipeline,
     shorten_params,
@@ -111,9 +111,7 @@ def test_c04_ternary_records():
     for w in range(6, 10):
         assert by_w[w].verdict == "ProvenAbsent"
 
-    reg = Registry()
-    reg.load_literature(only_q=3)
-    base = reg.get((3, 10, 0, 6))
+    base = literature_records(3).get((3, 10, 0, 6))
     assert base is not None
     nine = shorten_params(base, 1)
     eight = shorten_params(base, 2)
@@ -291,9 +289,7 @@ def test_c09_randomized_property_suites():
         done += 1
 
     rng = random.Random(906)
-    reg = Registry()
-    reg.load_literature()
-    records = reg.records()
+    records = list(literature_records().values())
     assert records
     for _ in range(cases):
         rec = rng.choice(records)

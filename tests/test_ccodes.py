@@ -15,7 +15,7 @@ from qmds.ccodes import (
 )
 from qmds.errors import BadDistance, DescentFailure, TowerTooLarge
 from qmds.gf import Polynomial, build_field, embed, field_for_order, poly_from_roots
-from qmds.linalg import linear_code, mds_verify
+from qmds.linalg import linear_code, mds_verify, min_weight
 from qmds.pcode import puncture_spectral
 
 from oracles import all_codewords, bch_ht_reference, brute_min_weight, is_member
@@ -207,6 +207,12 @@ def test_bch_ht_bound_equals_the_full_search(Q):
 def test_bch_ht_bound_equals_the_full_search_on_pc_specs():
     for spec in pc_specs():
         assert bch_ht_bound(spec) == bch_ht_reference(spec), spec_to_dict(spec)
+    # length 122: a consecutive run alone gives 3, the shifted runs give 4,
+    # which is the exact minimum weight of this P(C)
+    pc = puncture_spectral(mds_spec(121, 3))
+    assert bch_ht_bound(pc.spec) == bch_ht_reference(pc.spec) == 4
+    mw = min_weight(pc.base)
+    assert mw.exact and mw.value == 4
 
 
 @pytest.mark.parametrize("Q", MDS_ORDERS)

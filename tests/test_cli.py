@@ -244,6 +244,15 @@ def test_shorten_command(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("key,message", [
+    ("3:10:0", "registry keys look like q:n:k:d, got '3:10:0'"),
+    ("a:b:c:d", "registry keys need integers, got 'a:b:c:d'"),
+])
+def test_shorten_malformed_key_is_an_input_error(capsys, key, message):
+    status, out, err = run(capsys, "shorten", key, "1")
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_reproduce_smallest_dataset(capsys):
     status, out, err = run(capsys, "reproduce", "6A")
     assert status == 0
@@ -351,6 +360,17 @@ def test_malformed_witness_is_an_input_error(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q,d", [(3, 5), (4, 6), (3, 0)])
+def test_verify_distance_outside_the_pipeline_is_an_input_error(capsys, tmp_path, q, d):
+    """A witness claims a code of distance d over GF(q**2); the families
+    run 1..q+1, so any other d is refused before a code is built."""
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(dict(GOOD_WITNESS, q=q, d=d, n=q * q + 1)))
+    status, out, err = run(capsys, "verify", str(path))
+    assert (status, out) == (2, "")
+    assert err == f"error: pipeline distances run 1..{q + 1}, got {d}\n"
 
 
 def test_contradiction_exits_one(capsys, monkeypatch):

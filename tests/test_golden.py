@@ -40,10 +40,17 @@ the sampler read a word's weight off its message on unit columns:
 subcode, on a Philox stream that no other case draws.  The last one was
 recorded on top of commit 6a17b0d, once figdata searched at the budget it
 is given: `figdata 5` is the grid the length conjecture's evidence reads,
-each cell settled as the pipeline settles its code.
+each cell settled as the pipeline settles its code.  The last two were
+recorded at commit 12c8657, before verify and the pipeline took their codes
+from one family function each and the literature records became one
+function: `reproduce 6C` reads the pipeline, the norm-triple family, the
+literature records and their shortenings over GF(4), and `shorten` turns a
+literature key into a record.  `test_verify_matches_recorded_hash` pins
+verify of two fixed witnesses, recorded at the same commit.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -126,6 +133,22 @@ GOLDEN = [
     # the achievability grid, each cell settled at the default budget
     (("figdata", "5"),
      "a44f63b5491d66e5e31258dd138033e59342de8608a46ea73bc0340983937cb5", 0),
+    # the literature records, their shortenings and the family records
+    (("reproduce", "6C"),
+     "2f0f8fc0d8a6823db489638d0726a9d87e46e803a412dca4f2e046f1ae45a31d", 0),
+    (("shorten", "3:10:0:6", "1"),
+     "eb2dce2208cf6fa6e9746309cd7b3418ecf8984c134343bde83b26041f417cd6", 0),
+]
+
+# Witnesses as `qmds 3 4` (weight 10) and `q2p2 2` print them, each with the
+# sha256 of verify's stdout; verify exits 0 on both.
+VERIFY_GOLDEN = [
+    ({"d": 4, "n": 10, "q": 3, "seed": 49374, "support": list(range(10)),
+      "values": [1, 2] * 5, "weight": 10},
+     "0c830229056e7812e3c7ea5a42049e0aed737ab5b02e689e0865d2cc3dc2eb58"),
+    ({"d": 4, "n": 18, "q": 4, "seed": 49374, "support": list(range(18)),
+      "values": [2, 3, 3] * 5 + [2, 1, 1], "weight": 18},
+     "8150a6aa51fd6ecbcf010056d868c05a8ed26611c235eb6ca7a0e0f32f4f73a5"),
 ]
 
 
@@ -134,3 +157,12 @@ def test_stdout_matches_recorded_hash(capsys, argv, digest, status):
     got = main(list(argv))
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), got) == (digest, status)
+
+
+@pytest.mark.parametrize("witness,digest", VERIFY_GOLDEN, ids=["qmds-3-4-w10", "q2p2-2"])
+def test_verify_matches_recorded_hash(capsys, tmp_path, witness, digest):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    got = main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), got) == (digest, 0)

@@ -21,7 +21,6 @@ from qmds.gf import build_field
 from qmds.linalg import WordSearch, dual, linear_code, min_weight
 from qmds.qstab import (
     QuantumCodeParams,
-    Registry,
     char2_q2plus2,
     conjecture_pc_params,
     conjecture_report,
@@ -29,6 +28,7 @@ from qmds.qstab import (
     family_distance2,
     family_q2plus1,
     figdata,
+    literature_records,
     puncture_stabilizer,
     qmds_check,
     run_pipeline,
@@ -150,9 +150,7 @@ def test_relative_search_runs_exactly_when_the_settle_rule_asks(monkeypatch, bud
 
 
 def test_shorten_params_chain():
-    reg = Registry()
-    reg.load_literature(only_q=3)
-    base = reg.get((3, 10, 0, 6))
+    base = literature_records(3).get((3, 10, 0, 6))
     assert base is not None
     nine = shorten_params(base, 1)
     assert (nine.n, nine.k, nine.d) == (9, 1, 5)
@@ -273,27 +271,15 @@ def test_distance4_report_shape():
     assert rows[1] == {"q": 4, "status": "excluded-from-claim"}
 
 
-def test_registry_merge_and_keys():
-    reg = Registry()
-    reg.add(rec(2, 5, 1, 3, prov=("a",)))
-    merged = reg.add(rec(2, 5, 1, 3, prov=("b", "a")))
-    assert merged.provenance == ("a", "b")
-    assert reg.get((2, 5, 1, 3)).provenance == ("a", "b")
-    reg.add(rec(2, 4, 0, 2))
-    assert [r.key for r in reg.records()] == [(2, 4, 0, 2), (2, 5, 1, 3)]
-    assert Registry.parse_key("3:10:0:6") == (3, 10, 0, 6)
-    with pytest.raises(BadS):
-        Registry.parse_key("3:10:0")
-    with pytest.raises(BadS):
-        Registry.parse_key("a:b:c:d")
-
-
 def test_registry_literature_filter():
-    reg = Registry()
-    reg.load_literature(only_q=5)
-    qs = {r.q for r in reg.records()}
-    assert qs == {5}
-    assert reg.get((5, 10, 0, 6)) is not None
+    records = literature_records(5)
+    assert {r.q for r in records.values()} == {5}
+    assert records[(5, 10, 0, 6)].key == (5, 10, 0, 6)
+    # every record under its own key, the keys ascending
+    everything = literature_records()
+    assert all(key == r.key for key, r in everything.items())
+    assert list(everything) == sorted(everything)
+    assert records == {key: r for key, r in everything.items() if key[0] == 5}
 
 
 def test_figdata_grid_small():
