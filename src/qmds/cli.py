@@ -14,7 +14,7 @@ import sys
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .ccodes import bch_ht_bound, build_code, mds_spec, spec_to_dict
 from .errors import BadS, Contradiction, NotKnown, QmdsError, TooLarge
-from .gf import build_field, field_for_order
+from .gf import build_field
 from .linalg import dual, mds_verify
 from .pcode import in_puncture_code, puncture_direct, puncture_spectral, weight_spectrum
 from .qstab import (
@@ -24,6 +24,7 @@ from .qstab import (
     family_distance2,
     figdata,
     literature_records,
+    pipeline_spec,
     qmds_check,
     run_pipeline,
     shorten_params,
@@ -168,8 +169,7 @@ def cmd_mds(args, out) -> int:
 
 
 def cmd_pc(args, out) -> int:
-    field_for_order(args.q)
-    spec = mds_spec(args.q * args.q, args.d)
+    spec = pipeline_spec(args.q, args.d)
     payload = {}
     codes = {}
     if args.route in ("spectral", "both"):
@@ -192,9 +192,7 @@ def cmd_pc(args, out) -> int:
 
 def cmd_weights(args, out) -> int:
     budget = _budget(args)
-    field_for_order(args.q)
-    spec = mds_spec(args.q * args.q, args.d)
-    pc = puncture_spectral(spec)
+    pc = puncture_spectral(pipeline_spec(args.q, args.d))
     n = pc.base.n
     lo = max(2 * (args.d - 1), 1)
     weights = (

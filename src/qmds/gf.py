@@ -10,7 +10,9 @@ ascending integer encoding, whose powers of x run through the whole
 multiplicative group and which is norm compatible with the subfield moduli.
 That pins down one canonical table per order, makes the element x (the int p)
 a generator whenever m > 1, and makes every subfield embedding a scaling of
-discrete logs.
+discrete logs.  The search screens the constant term and the roots in GF(p)
+first, then tests a batch of candidates per numpy operation; the exp table
+is built by doubling, one matrix product per power of two.
 """
 
 from __future__ import annotations
@@ -61,22 +63,6 @@ def _digit_neg(a: int, p: int) -> int:
     return out
 
 
-def _mul_by_x(v: int, p: int, m: int, low: int) -> int:
-    """v(x) * x mod (x^m + low(x)), elements packed base p."""
-    lead = v // p ** (m - 1)
-    v = (v - lead * p ** (m - 1)) * p
-    if lead:
-        red = 0
-        shift = 1
-        t = low
-        while t:
-            t, d = divmod(t, p)
-            red += ((d * lead) % p) * shift
-            shift *= p
-        v = _digit_add(v, _digit_neg(red, p), p)
-    return v
-
-
 def _prime_power_parts(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n by trial division, primes ascending;
     empty for n < 2."""
@@ -95,88 +81,109 @@ def _prime_power_parts(n: int) -> list[tuple[int, int]]:
     return parts
 
 
-def _mulmod(a: list[int], b: list[int], p: int, low: list[int]) -> list[int]:
-    """a * b mod x^m + low(x), as coefficient lists of length m, lowest first."""
-    m = len(a)
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    for i in range(2 * m - 2, m - 1, -1):
-        c = prod[i] % p
-        if c:
-            # x**i = x**(i-m) * x**m and x**m = -low(x)
-            for j, y in enumerate(low):
-                prod[i - m + j] -= c * y
-    return [v % p for v in prod[:m]]
+# candidates per batch: one batch holds the modulus of every order up to
+# 4096, and a batch's arrays for GF(2**16) stay near 100 KB
+MODULUS_BATCH = 128
 
 
-def _x_power(p: int, m: int, low: int, e: int) -> list[int]:
-    """x**e mod x^m + low(x) by square-and-multiply, as a coefficient list."""
-    lows = _digits(low, p, m)
-    # for m == 1, x reduces to the constant -low
-    base = [(p - low) % p] if m == 1 else [0, 1] + [0] * (m - 2)
-    acc = [1] + [0] * (m - 1)
-    while e:
-        if e & 1:
-            acc = _mulmod(acc, base, p, lows)
-        base = _mulmod(base, base, p, lows)
-        e >>= 1
-    return acc
+def _x_powers_below_2m(lows: np.ndarray, p: int) -> np.ndarray:
+    """x**s mod x^m + low(x) for s < 2m, one stack per row of lows (base-p
+    digits, lowest first): shape (n, 2m, m).  Rows 1..m of a stack are the
+    matrix of multiplication by x, on row vectors.  The dtype is the
+    smallest that holds a sum of 2m products of coefficients."""
+    n, m = lows.shape
+    out = np.zeros((n, 2 * m, m), np.min_scalar_type(2 * m * p * p))
+    out[:, np.arange(m), np.arange(m)] = 1
+    fold = (p - lows) % p  # x**m = -low(x)
+    for s in range(m, 2 * m):
+        out[:, s, 1:] = out[:, s - 1, :-1]
+        out[:, s] = (out[:, s] + out[:, s - 1, -1:] * fold) % p
+    return out
 
 
-def _x_generates(p: int, m: int, low: int) -> bool:
-    """True when x has multiplicative order exactly p**m - 1 mod x^m + low.
-
-    That holds exactly when x**(q-1) = 1 and x**((q-1)/l) != 1 for every
-    prime l dividing q - 1.  When x divides the modulus (low has no constant
-    term, m > 1) x is no unit, so no power of it is 1.
-    """
-    q = p**m
-    if m > 1 and low % p == 0:
-        return False
-    one = [1] + [0] * (m - 1)
-    if _x_power(p, m, low, q - 1) != one:
-        return False
-    return all(
-        _x_power(p, m, low, (q - 1) // r) != one for r, _ in _prime_power_parts(q - 1)
-    )
-
-
-def _maximal_proper_divisors(m: int) -> list[int]:
-    return sorted(m // r for r, _ in _prime_power_parts(m))
-
-
-def _norm_compatible(p: int, m: int, low: int) -> bool:
-    """True when x**((p**m-1)/(p**d-1)) is a root of every maximal subfield
-    modulus.
-
-    With such moduli, the embedding of any subfield GF(p**d) sends its
-    generator to the big generator raised to (p**m-1)/(p**d-1), so every
-    embedding multiplies discrete logs by that ratio and embeddings compose
-    through any intermediate field.  The maximal subfields suffice: their
-    own moduli are norm compatible in turn.
-    """
-    lows = _digits(low, p, m)
-    for d in _maximal_proper_divisors(m):
-        root = _x_power(p, m, low, (p**m - 1) // (p**d - 1))
-        acc = [0] * m
-        power = [1] + [0] * (m - 1)
-        for coeff in build_field(p, d).modulus:
-            acc = [(a + coeff * b) % p for a, b in zip(acc, power)]
-            power = _mulmod(power, root, p, lows)
-        if any(acc):
-            return False
-    return True
+def _mul_rows(a: np.ndarray, b: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
+    """a * b row by row, each row modulo its own x^m + low(x); powers is
+    _x_powers_below_2m of the lows."""
+    n, m = a.shape
+    # row i of the padded grid, read back at stride 2m, sits i places to the
+    # right, so summing the rows convolves a with b (whose x**(2m-1) is 0)
+    grid = np.zeros((n, m, 2 * m + 1), a.dtype)
+    np.multiply(a[:, :, None], b[:, None, :], out=grid[:, :, :m])
+    conv = grid.reshape(n, m * (2 * m + 1))[:, : 2 * m * m].reshape(n, m, 2 * m)
+    return np.matmul(conv.sum(axis=1, dtype=a.dtype)[:, None] % p, powers)[:, 0] % p
 
 
 @functools.lru_cache(maxsize=None)
 def _find_modulus_low(p: int, m: int) -> int:
-    for low in range(p**m):
-        if _x_generates(p, m, low) and _norm_compatible(p, m, low):
-            return low
+    """The first low, ascending, for which x is primitive and norm
+    compatible modulo x^m + low(x).
+
+    x is primitive when x**(q-1) = 1 and x**((q-1)/r) != 1 for every prime r
+    dividing q - 1.  x is norm compatible when x**((q-1)/(p**d-1)) is a root
+    of the GF(p**d) modulus for every maximal proper divisor d of m, whose
+    own modulus is compatible in turn: then every subfield embedding is a
+    scaling of discrete logs, and embeddings compose.
+
+    Two screens drop candidates this excludes before any power of x is
+    taken.  Down at GF(p), compatibility says the norm of x, (-1)**m *
+    low(0), is GF(p)'s generator -low_1, which fixes the constant term; and
+    for m > 1 a root in GF(p) makes the modulus reducible.  The remaining
+    tests run on a whole batch per array operation, as powers of x built
+    from the squares x**(2**k); each sees only the rows that passed so far.
+    """
+    q = p**m
+    # x**e must (False: must not) be a root of the monic polynomial whose
+    # coefficients below the leading 1 are listed; z - 1 has [p - 1]
+    checks = [(q - 1, [p - 1], True)]
+    checks += [((q - 1) // r, [p - 1], False) for r, _ in _prime_power_parts(q - 1)]
+    for d in (m // r for r, _ in _prime_power_parts(m)):
+        checks.append(((q - 1) // (p**d - 1), _digits(_find_modulus_low(p, d), p, d), True))
+    first, stride = (0, 1) if m == 1 else ((-1) ** (m + 1) * _find_modulus_low(p, 1) % p, p)
+    vander = np.arange(p)[:, None] ** np.arange(m + 1) % p if m > 1 else None
+    for start in range(0, q // stride, MODULUS_BATCH):
+        low = first + stride * np.arange(start, min(start + MODULUS_BATCH, q // stride))
+        if m > 1:  # f(a) != 0 for every a in GF(p)
+            digits = low[:, None] // p ** np.arange(m) % p
+            low = low[((digits @ vander[:, :m].T + vander[:, m]) % p).all(axis=1)]
+        powers = _x_powers_below_2m(low[:, None] // p ** np.arange(m) % p, p)
+        squares = [powers[:, 1]]
+        for _ in range((q - 1).bit_length() - 1):
+            squares.append(_mul_rows(squares[-1], squares[-1], powers, p))
+        squares = np.stack(squares, axis=1)
+        for e, coeffs, root in checks:
+            bits = [k for k in range(e.bit_length()) if e >> k & 1]
+            v = squares[:, bits[0]]
+            for k in bits[1:]:
+                v = _mul_rows(v, squares[:, k], powers, p)
+            acc = (v + coeffs[-1] * np.eye(1, m, dtype=v.dtype)) % p  # Horner
+            for c in reversed(coeffs[:-1]):
+                acc = _mul_rows(acc, v, powers, p)
+                acc[:, 0] = (acc[:, 0] + c) % p
+            keep = acc.any(axis=1) != root
+            low, powers, squares = low[keep], powers[keep], squares[keep]
+        if len(low):
+            return int(low[0])
     raise Contradiction(f"no primitive modulus found for GF({p}**{m})")
+
+
+def _powers_of_x(p: int, m: int, low: tuple[int, ...]) -> np.ndarray:
+    """x**0 .. x**(p**m - 1) modulo x^m + low(x), as elements.
+
+    Doubling: with the first n powers in hand, the next n are those rows
+    times x**n, one product by the matrix of multiplication by x**n, which
+    is squared for the next round.  For m == 1, x reduces to the constant
+    -low, so these are the powers of g = -low mod p.
+    """
+    q = p**m
+    step = _x_powers_below_2m(np.array([low]), p)[0, 1 : m + 1]
+    rows = np.zeros((q, m), step.dtype)
+    rows[0, 0] = n = 1
+    while n < q:
+        take = min(n, q - n)
+        rows[n : n + take] = rows[:take] @ step % p
+        step = step @ step % p
+        n += take
+    return rows @ p ** np.arange(m, dtype=np.uint32)
 
 
 class FieldTable:
@@ -185,24 +192,16 @@ class FieldTable:
     def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
-        self.q = p**m
-        low = _find_modulus_low(p, m)
+        self.q = q = p**m
         # modulus coefficients, constant term first, monic leading 1
-        self.modulus = tuple(_digits(low, p, m)) + (1,)
-        q = self.q
-        exp = [0] * max(2 * (q - 1), 2)
-        log = [-1] * q
-        # for m == 1, x reduces to the constant -low: powers of g = -low mod p
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            exp[i + q - 1] = v
-            log[v] = i
-            v = _mul_by_x(v, p, m, low)
-        if v != 1:
+        self.modulus = tuple(_digits(_find_modulus_low(p, m), p, m)) + (1,)
+        exp = _powers_of_x(p, m, self.modulus[:-1])
+        log = np.full(q, -1, np.int32)
+        log[exp[:-1]] = np.arange(q - 1)
+        if exp[-1] != 1 or (log[exp[:-1]] != np.arange(q - 1)).any():
             raise Contradiction(f"exp table for GF({q}) did not close")
-        self.exp_table = tuple(exp)
-        self.log_table = tuple(log)
+        self.exp_table = tuple(exp[:-1].tolist()) * 2
+        self.log_table = tuple(log.tolist())
         self.generator = self.exp_table[1] if q > 2 else 1
         self._np = None
 

@@ -283,15 +283,21 @@ class FamilyScan:
         return {r.weight: r for r in self.presence}
 
 
-def pipeline_code(q: int, d: int) -> tuple[ConstacyclicSpec, FamilyCode]:
+def pipeline_spec(q: int, d: int) -> ConstacyclicSpec:
     """The spec of the distance-d MDS code over GF(q**2), length q**2 + 1,
-    and the pipeline's family code: C is its Hermitian dual, P(C) comes by
-    the spectral route, and the floor is the spec's BCH/HT bound."""
+    for d in the pipeline's range 1..q+1."""
     field_for_order(q)
     if not (1 <= d <= q + 1):
         raise BadDistance(f"pipeline distances run 1..{q + 1}, got {d}")
+    return mds_spec(q * q, d)
+
+
+def pipeline_code(q: int, d: int) -> tuple[ConstacyclicSpec, FamilyCode]:
+    """pipeline_spec(q, d) and the pipeline's family code: C is the
+    Hermitian dual of that MDS code, P(C) comes by the spectral route, and
+    the floor is the spec's BCH/HT bound."""
     Q = q * q
-    spec = mds_spec(Q, d)
+    spec = pipeline_spec(q, d)
     cstar = build_code(spec)
     c_small = dual(cstar, "hermitian")
     if cstar.k != Q + 2 - d or c_small.k != d - 1:

@@ -373,6 +373,17 @@ def test_verify_distance_outside_the_pipeline_is_an_input_error(capsys, tmp_path
     assert err == f"error: pipeline distances run 1..{q + 1}, got {d}\n"
 
 
+@pytest.mark.parametrize("command,q,d", [("pc", 3, 5), ("weights", 3, 5), ("pc", 4, 0),
+                                         ("weights", 2, 4)])
+def test_pc_and_weights_refuse_a_distance_outside_the_pipeline(capsys, command, q, d):
+    """A zero P(C) or a row of ProvenAbsent weights would answer a question
+    the families do not ask: pc and weights refuse d as qmds does."""
+    status, out, err = run(capsys, command, str(q), str(d))
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == run(capsys, "qmds", str(q), str(d))[2]
+
+
 def test_contradiction_exits_one(capsys, monkeypatch):
     import qmds.cli
     from qmds.errors import Contradiction

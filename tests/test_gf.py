@@ -1,6 +1,9 @@
 """Field tables, embeddings, and the polynomial helpers."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,12 +150,57 @@ def prime_powers(limit):
 
 
 def test_modulus_search_matches_step_walk():
-    # square-and-multiply order tests against walking every power of x
-    pairs = list(prime_powers(2401))
-    assert (2, 11) in pairs and (7, 4) in pairs
+    # screened, batched order tests against walking every power of x
+    pairs = list(prime_powers(4096))
+    assert (2, 12) in pairs and (7, 4) in pairs
     assert [_find_modulus_low(p, m) for p, m in pairs] == [
         oracles.step_walk_modulus_low(p, m) for p, m in pairs
     ]
+
+
+@pytest.mark.skipif(not os.environ.get("QMDS_HEAVY"), reason="set QMDS_HEAVY=1 for every order")
+def test_modulus_search_matches_step_walk_heavy():
+    pairs = [(p, m) for p, m in prime_powers(gf.MAX_FIELD_ORDER) if m >= 2]
+    assert len(pairs) == 93
+    for p, m in pairs:
+        assert _find_modulus_low(p, m) == oracles.step_walk_modulus_low(p, m), (p, m)
+
+
+def test_tables_are_the_powers_of_x():
+    # the doubling table against one power of x at a time; FieldTable, not
+    # the cached build_field, so the tables of ~570 fields are not all kept
+    for p, m in prime_powers(4096):
+        f = FieldTable(p, m)
+        lows, xs = list(f.modulus[:-1]), [p**i for i in range(m)]
+        v, exp = [1] + [0] * (m - 1), []
+        for _ in range(f.q - 1):
+            exp.append(sum(c * x for c, x in zip(v, xs)))
+            v = oracles._times_x(v, p, lows)
+        assert f.exp_table == tuple(exp) * 2, (p, m)
+        log = [-1] * f.q
+        for i, a in enumerate(exp):
+            log[a] = i
+        assert f.log_table == tuple(log), (p, m)
+
+
+def test_field_builds_import_no_numpy_module():
+    """np.unique and np.setdiff1d, for one, import numpy.ma on first use."""
+    code = (
+        "import sys, qmds.cli\n"
+        "from qmds import ccodes, gf\n"
+        "before = set(sys.modules)\n"
+        "for q, d in ((8, 2), (7, 2)):\n"
+        "    for f in (gf.field_for_order(q), gf.field_for_order(q * q),\n"
+        "              ccodes.mds_spec(q * q, d).root_field):\n"
+        "        if f.q <= gf.MAX_TABLE_ORDER:\n"
+        "            f.np_tables()\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(gf.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          text=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_embedding_sends_generator_to_smallest_log_root():
