@@ -408,6 +408,31 @@ class SubfieldEmbedding:
         c0 = big.sub(b, big.mul(c1, theta))
         return self.section(c0), self.section(c1)
 
+    @functools.cached_property
+    def coords2_table(self) -> np.ndarray:
+        """coords2 of every element of the big field at once: a read-only
+        uint8 (big.q, 2) table whose row b is (c0, c1).
+
+        Built backwards, with Python work per small element only: every
+        pair (c0, c1) of small elements is sent to map(c0) + map(c1)*theta,
+        which hits each big element exactly once when the tower is
+        quadratic.
+        """
+        big, small = self.big, self.small
+        if big.m != 2 * small.m:
+            raise NotQuadraticTower(
+                f"GF({big.q}) is not quadratic over GF({small.q})"
+            )
+        c1, c0 = np.divmod(np.arange(big.q), small.q)
+        img = np.array([self.map(x) for x in range(small.q)])
+        b = _sum_grid(big, img[c0], _product_grid(big, img[c1], np.int64(big.generator)))
+        if (np.bincount(b, minlength=big.q) != 1).any():
+            raise Contradiction("c0 + c1*theta does not cover the big field once")
+        table = np.empty((big.q, 2), dtype=np.uint8)
+        table[b] = np.column_stack((c0, c1))
+        table.setflags(write=False)
+        return table
+
 
 @functools.lru_cache(maxsize=None)
 def embed(small: FieldTable, big: FieldTable) -> SubfieldEmbedding:

@@ -11,8 +11,9 @@ Products go through gf_matmul, one float32 product mod p for every
 field: over GF(p**m) it multiplies the base-p digits of the elements.  Every
 elimination (rref, batch_rank and the prefix tree) goes through
 rank_one_update, the one place that picks its arithmetic: integers reduced
-mod p over a small prime field, per-field lookup tables otherwise.  Either
-way they are just a faster way to run the same integer computation.
+mod p over a small prime field, per-field lookup tables otherwise, with the
+difference taken by XOR in characteristic 2.  Every way is just a faster
+way to run the same integer computation.
 Enumeration over small fields counts weights by float32 products of one-hot
 matrices, whose entries are agreement counts at most n and need no reduction.
 
@@ -24,12 +25,13 @@ grandchild; on an MDS matrix no node passes, and the leaves' parents are
 never built.  batch_rank does not choose the supports a scan probes: it
 cross-checks each chunk the tree yields.  On a code closed under a twisted
 shift the same walk can keep to one support per rotation orbit, the
-necklaces, and a scan then probes only those as long as its probes stay
-exhaustive.  A scan level asks which size-w support first carries a word of
-weight w, given the code and the subcode as uint8 parity matrices.  A probe
-visits the words on its support in the enumeration's order, the high blocks
-of _projective_blocks, and one syndrome product per chunk against the
-subcode's parity columns on the support drops its words.
+necklaces: the MDS check then walks only those, and a scan probes only
+those as long as its probes stay exhaustive.  A scan level asks which size-w
+support first carries a word of weight w, given the code and the subcode as
+uint8 parity matrices.  A probe visits the words on its support in the
+enumeration's order, the high blocks of _projective_blocks, and one syndrome
+product per chunk against the subcode's parity columns on the support drops
+its words.
 
 Every sample is drawn by PhiloxStream, which reads the messages numpy's
 Generator.integers would draw straight off the raw Philox words, byte by
@@ -188,8 +190,10 @@ def rank_one_update(field, a: np.ndarray, col, inv, row) -> np.ndarray:
     one elimination step of rref, batch_rank and the prefix tree.
 
     Over GF(p), p <= 7, it computes in uint8 integers and reduces mod p
-    once; otherwise it gathers through the field's tables.  A zero inv
-    leaves a unchanged.
+    once; otherwise it gathers the product through the field's tables.
+    Over GF(2**m) the difference is then the XOR of the two bit vectors,
+    in place on the product; over odd extension fields it is one more
+    gather, through the subtraction table.  A zero inv leaves a unchanged.
     """
     p = _elimination_prime(field)
     if p:
@@ -200,6 +204,9 @@ def rank_one_update(field, a: np.ndarray, col, inv, row) -> np.ndarray:
     t = field.np_tables()
     prod = t.mul[t.mul[col, inv], row]
     del row  # a pivot row the caller gathered is freed before the last gather
+    if field.p == 2:
+        prod ^= a
+        return prod
     return t.sub[a, prod]
 
 
@@ -380,10 +387,15 @@ def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = Fals
     yield from walk(0, mat[None], np.zeros((1, 0), dtype=np.min_scalar_type(n)), None)
 
 
-def independent_subsets(field, mat: np.ndarray, size: int) -> bool:
+def independent_subsets(field, mat: np.ndarray, size: int, necklaces: bool = False) -> bool:
     """True when every `size` columns of the (r, n) matrix are independent,
-    for 1 <= size <= r: when dependent_supports yields nothing."""
-    return next(dependent_supports(field, mat, size), None) is None
+    for 1 <= size <= r: when dependent_supports yields nothing.
+
+    necklaces=True walks only the subsets that are their own least rotation.
+    That decides the question exactly when the dependent subsets are closed
+    under rotation, as on either side of a code closed under a twisted shift
+    (linalg.mds_verify)."""
+    return next(dependent_supports(field, mat, size, necklaces), None) is None
 
 
 def lex_rank(n: int, support) -> int:

@@ -104,14 +104,33 @@ class LinearCode:
 
     @cached_property
     def twisted_shift(self) -> int | None:
-        """The first a in GF(q)*, by increasing discrete log, under whose
-        twisted shift the code is closed, or None (always for the zero
-        code).  Such a shift maps the words on a support onto words on its
-        rotation, which support scans use."""
+        """The a in GF(q)* under whose twisted shift the code is closed, or
+        None (always for the zero code).  A code closed under two shifts is
+        closed under every one, and then a is 1, the first by discrete log.
+        Such a shift maps the words on a support onto words on its rotation,
+        which the MDS check and the support scans use.
+
+        Solved in one syndrome product, not searched over GF(q)*: a row g
+        shifts to g' + a*g[n-1]*e_0, g' the rotated row with entry 0 cleared,
+        so its syndrome s(g') + a*g[n-1]*H[:, 0] is affine in a.  The first
+        nonzero coefficient g[n-1]*H[j, 0] fixes a, and the code is closed
+        under that shift exactly when every syndrome vanishes at it; with
+        every coefficient zero the shift does not depend on a, and the code
+        is closed under all of them or none.
+        """
         if not self.k:
             return None
-        units = self.field.exp_table[:self.field.q - 1]  # g**0, g**1, ...
-        return next((a for a in units if self.shift_closed(a)), None)
+        t = self.field.np_tables()
+        rolled = np.roll(self.matrix, 1, axis=1)
+        rolled[:, 0] = 0
+        base = self.syndromes(rolled)
+        slope = t.mul[self.matrix[:, -1, None], self.parity_matrix[:, 0]]
+        at = np.flatnonzero(slope)
+        if not len(at):
+            return None if base.any() else 1
+        a = int(t.mul[t.neg[base.flat[at[0]]], t.inv[slope.flat[at[0]]]])
+        closed = a and not t.add[base, t.mul[a, slope]].any()
+        return a if closed else None
 
 
 def _elements(field: FieldTable, rows) -> np.ndarray:
@@ -246,10 +265,8 @@ def subfield_subcode(code: LinearCode, small: FieldTable) -> LinearCode:
         raise NotQuadraticTower(
             f"GF({big.q}) is not a quadratic extension of GF({small.q})"
         )
-    emb = embed(small, big)
-    coords = np.array([emb.coords2(x) for x in range(big.q)], dtype=np.uint8)
     # each parity row becomes two: its c0 and its c1 coordinates
-    split = coords[code.parity_matrix].transpose(0, 2, 1)
+    split = embed(small, big).coords2_table[code.parity_matrix].transpose(0, 2, 1)
     return code_from_parity(small, split.reshape(-1, code.n), code.n)
 
 
@@ -258,10 +275,14 @@ def mds_verify(code: LinearCode) -> bool:
 
     Demands that every column subset on the cheaper side (k-subsets of the
     generator or (n-k)-subsets of the parity matrix) is independent, by the
-    prefix-tree walk of kernels.independent_subsets.  Raises TooLarge when
-    the subsets number more than MDS_SUBSET_CAP.  The cap still counts all
-    C(n, side) subsets, although on an MDS matrix the walk stops two levels
-    above them (see kernels.dependent_supports).
+    prefix-tree walk of kernels.independent_subsets.  On a code closed under
+    a twisted shift the walk keeps to the necklaces, one subset per rotation
+    orbit: the shift maps a word on a support S onto one on S + 1, and the
+    Euclidean dual is closed under the inverse shift, so on either side a
+    subset is dependent exactly when its least rotation is.  Raises TooLarge
+    when the subsets number more than MDS_SUBSET_CAP.  The cap still counts
+    all C(n, side) subsets, although on an MDS matrix the walk stops two
+    levels above them (see kernels.dependent_supports).
     """
     n, k = code.n, code.k
     if k == 0 or k == n:
@@ -269,9 +290,9 @@ def mds_verify(code: LinearCode) -> bool:
     count = math.comb(n, min(k, n - k))
     if count > MDS_SUBSET_CAP:
         raise TooLarge(f"MDS check needs {count} subsets, above the {MDS_SUBSET_CAP} cap")
-    if k <= n - k:
-        return kernels.independent_subsets(code.field, code.matrix, k)
-    return kernels.independent_subsets(code.field, code.parity_matrix, n - k)
+    side, mat = (k, code.matrix) if k <= n - k else (n - k, code.parity_matrix)
+    return kernels.independent_subsets(code.field, mat, side,
+                                       necklaces=code.twisted_shift is not None)
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,21 @@ def test_quadratic_coordinates():
         assert rebuilt == b
 
 
+def test_coordinate_table_matches_coords2():
+    """coords2_table, built backwards from the pairs (c0, c1), is coords2
+    of every element, on every quadratic tower up to GF(256)."""
+    towers = [(p, m) for p, m in prime_powers(16) if (p**m) ** 2 <= 256]
+    assert len(towers) == 10
+    for p, m in towers:
+        emb = embed(build_field(p, m), build_field(p, 2 * m))
+        table = emb.coords2_table
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        assert table.tolist() == [list(emb.coords2(b)) for b in range(emb.big.q)]
+        assert emb.coords2_table is table  # built once per embedding
+    with pytest.raises(NotQuadraticTower):
+        embed(build_field(2, 1), build_field(2, 3)).coords2_table
+
+
 def test_poly_from_roots_galois_guard():
     big = build_field(2, 4)
     small = build_field(2, 2)

@@ -46,7 +46,15 @@ from one family function each and the literature records became one
 function: `reproduce 6C` reads the pipeline, the norm-triple family, the
 literature records and their shortenings over GF(4), and `shorten` turns a
 literature key into a record.  `test_verify_matches_recorded_hash` pins
-verify of two fixed witnesses, recorded at the same commit.
+verify of two fixed witnesses, recorded at the same commit.  The last six
+were recorded at commit 98e5b3c, before mds_verify walked one column subset
+per rotation orbit on shift-closed codes, twisted_shift was solved instead
+of searched and rank_one_update took differences by XOR in characteristic
+2: the `pc` cases build P(C) over GF(64) and GF(256) by both routes, `mds
+81 5` and `mds 256 4` print the check over an odd and an even table field,
+`q2p2 3` checks a [66,63] code that no twisted shift maps into itself, and
+`qmds 8 9` at a raised support budget settles the distance of a [65,57]
+code by eliminations over GF(64).
 """
 
 import hashlib
@@ -138,6 +146,19 @@ GOLDEN = [
      "2f0f8fc0d8a6823db489638d0726a9d87e46e803a412dca4f2e046f1ae45a31d", 0),
     (("shorten", "3:10:0:6", "1"),
      "eb2dce2208cf6fa6e9746309cd7b3418ecf8984c134343bde83b26041f417cd6", 0),
+    # the necklace MDS check, the solved twisted shift and XOR elimination
+    (("pc", "8", "5", "--route", "both"),
+     "47b517d21b6e2f1ce47e7ffa1f5b7a4aabefccfaa8f2f22fc5c6596ab8c4c1bc", 0),
+    (("pc", "16", "5", "--route", "both"),
+     "423e70f4f9272279303be1b3188b9714f2b7585172e5ce57f82df111d679bb47", 0),
+    (("mds", "81", "5"),
+     "fdd98110f2a592a90f89a933d24b902589503218f1b76a559f7ba79129230dd9", 0),
+    (("mds", "256", "4"),
+     "2fb616829aa940363a488f3f54a9c2d26e4e487a8524d4375f8f03f09152fb3f", 0),
+    (("q2p2", "3"),
+     "1e278e16de46e8ea740ebe4bb9858d616f007c0129202ea106e46d9148f96ed7", 0),
+    (("--budget-support", "1000000000", "--budget-samples", "20000", "qmds", "8", "9"),
+     "f87a286a160d56952cc1f3838e0f04f3061d6012962a38bb8474d94d0241acfd", 0),
 ]
 
 # Witnesses as `qmds 3 4` (weight 10) and `q2p2 2` print them, each with the

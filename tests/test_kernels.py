@@ -1055,6 +1055,31 @@ def test_rank_one_update_matches_scalar_reference(f):
     assert (got[0] == a[0]).all()
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_rank_one_update_xor_matches_the_subtraction_table(m):
+    """Over GF(2**m) the difference is an XOR: it equals the gather through
+    the subtraction table on the broadcast shapes of rref, batch_rank and
+    _clear_column, and leaves a as it was."""
+    f = build_field(2, m)
+    t = f.np_tables()
+    rng = np.random.default_rng(m)
+
+    def draw(*shape):
+        return rng.integers(0, f.q, size=shape, dtype=np.uint8)
+
+    shapes = [
+        (draw(6, 9), draw(6, 1), 1, draw(9)),  # rref: one pivot row
+        (draw(4, 5, 7), draw(5, 7), draw(7), draw(4, 1, 7)),  # batch_rank
+        (draw(3, 4, 9), draw(3, 4, 1), draw(3, 1, 1), draw(3, 1, 9)),  # _clear_column
+    ]
+    for a, col, inv, row in shapes:
+        before = a.copy()
+        want = t.sub[a, t.mul[t.mul[col, inv], row]]
+        got = kernels.rank_one_update(f, a, col, inv, row)
+        assert got.dtype == np.uint8 and (got == want).all()
+        assert (a == before).all()
+
+
 def test_sampled_probe_takes_one_philox_draw():
     # the sampled probe checks the words of one SUBSCAN_SAMPLES-message
     # draw of philox(seed, tag), in order

@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
 from qmds import kernels
-from qmds.budgets import SAMPLE_CHUNK, SearchBudget
+from qmds.budgets import MDS_SUBSET_CAP, SAMPLE_CHUNK, SearchBudget
+from qmds.ccodes import build_code, mds_spec
 from qmds.errors import (
     BadCoordinate,
     FieldMismatch,
@@ -18,7 +20,7 @@ from qmds.errors import (
     TooLarge,
     ZeroDimensional,
 )
-from qmds.gf import build_field, conjugate_table, field_for_order
+from qmds.gf import _prime_power_parts, build_field, conjugate_table, field_for_order
 from qmds.kernels import gf_matmul, null_space, philox
 from qmds.linalg import (
     WordSearch,
@@ -27,6 +29,7 @@ from qmds.linalg import (
     dual,
     hermitian_inner,
     is_subcode,
+    LinearCode,
     linear_code,
     mds_verify,
     min_weight,
@@ -320,6 +323,131 @@ def test_mds_verify_rejects_non_mds():
             for row in rows:
                 row[7] = f.mul(f.generator, row[2])
             assert mds_verify(linear_code(f, rows)) is False
+
+
+def prime_powers(limit):
+    return [Q for Q in range(2, limit + 1) if len(_prime_power_parts(Q)) == 1]
+
+
+def pc_codes(qs):
+    """Every spectral P(C) of the pipeline over GF(q), q in qs: closed
+    under a twisted shift, and mostly not MDS."""
+    from qmds.pcode import puncture_spectral
+    from qmds.qstab import pipeline_spec
+
+    return [puncture_spectral(pipeline_spec(q, d)).base for q in qs for d in range(1, q + 2)]
+
+
+def check_necklace_mds(codes, limit, brute_words=1024):
+    """For each code and its dual with 0 < k < n and at most limit column
+    subsets on the cheaper side: the code is closed under a twisted shift,
+    and mds_verify, which walks only the necklaces there, agrees with the
+    full walk over every subset and, for a code of at most brute_words
+    words, with brute force.  Returns the verdicts, keyed by side."""
+    verdicts = {"generator": [], "parity": []}
+    for code in codes:
+        for c in (code, dual(code)):
+            n, k = c.n, c.k
+            if not 0 < k < n or math.comb(n, min(k, n - k)) > limit:
+                continue
+            assert c.twisted_shift is not None, c
+            side, mat = ("generator", c.matrix) if k <= n - k else ("parity", c.parity_matrix)
+            got = mds_verify(c)
+            assert got is kernels.independent_subsets(c.field, mat, min(k, n - k),
+                                                      necklaces=False), c
+            if c.field.q**k <= brute_words:
+                assert got is (brute_min_weight(c) == n - k + 1), c
+            verdicts[side].append(got)
+    return verdicts
+
+
+def test_necklace_mds_check_matches_the_full_walk_and_brute_force():
+    """Every mds_spec code over GF(Q), Q <= 32, and its dual, on either
+    side, up to 10**5 column subsets (the heavy test below goes to the
+    cap), and every spectral P(C) with q <= 5."""
+    codes = [build_code(mds_spec(Q, d)) for Q in prime_powers(32) for d in range(1, Q + 3)]
+    mds = check_necklace_mds(codes, 10**5)
+    assert all(map(all, mds.values())) and min(map(len, mds.values())) > 100
+    pc = check_necklace_mds(pc_codes((2, 3, 4, 5)), MDS_SUBSET_CAP)
+    assert pc["generator"].count(False) > 4 and pc["parity"].count(False) > 4
+
+
+@pytest.mark.skipif(not os.environ.get("QMDS_HEAVY"), reason="set QMDS_HEAVY=1 for every Q <= 128")
+def test_necklace_mds_check_matches_the_full_walk_heavy():
+    """Every prime power Q <= 128 at d = 3..6, and every spectral P(C)
+    with q <= 7, up to MDS_SUBSET_CAP subsets."""
+    codes = [build_code(mds_spec(Q, d)) for Q in prime_powers(128) for d in range(3, min(6, Q + 2) + 1)]
+    mds = check_necklace_mds(codes, MDS_SUBSET_CAP, brute_words=0)
+    assert all(map(all, mds.values())) and len(mds["parity"]) > 100
+    check_necklace_mds(pc_codes((2, 3, 4, 5, 7)), MDS_SUBSET_CAP)
+
+
+def test_necklace_walk_needs_a_twisted_shift():
+    """A code with no twisted shift whose one dependent pair of generator
+    columns is {3, 4}: the least rotation of that pair, {0, 1}, is
+    independent, so a necklace walk alone calls the code MDS, and
+    mds_verify must walk every pair."""
+    f = build_field(3)
+    code = linear_code(f, [[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]])
+    assert (code.n, code.k) == (5, 2) and code.twisted_shift is None
+    assert kernels.independent_subsets(f, code.matrix, 2, necklaces=True)
+    assert mds_verify(code) is False
+    assert brute_min_weight(code) == 3
+
+
+def searched_shift(code):
+    """The twisted shift by search: the first a in GF(q)*, by discrete log,
+    with code.shift_closed(a)."""
+    if not code.k:
+        return None
+    units = code.field.exp_table[:code.field.q - 1]
+    return next((a for a in units if code.shift_closed(a)), None)
+
+
+def test_twisted_shift_is_solved_in_one_syndrome_product(monkeypatch):
+    """The solved shift equals the search over GF(q)* on every mds_spec
+    code with Q <= 25 and its dual, on random and sparse codes that are
+    not shift closed, and on codes whose last column or parity column 0 is
+    zero, where the shift does not depend on a; and no code costs more
+    than one syndrome product."""
+    rng = random.Random(25)
+    codes = []
+    for Q in prime_powers(25):
+        f = field_for_order(Q)
+        for d in range(1, Q + 3):
+            c = build_code(mds_spec(Q, d))
+            codes += [c, dual(c)]
+        n = Q + 1
+        codes += [random_code(f, n, k, rng) for k in (1, n // 2, n - 1)]
+        sparse = [[rng.choice((0, 0, 0, 1)) for _ in range(n)] for _ in range(3)]
+        codes.append(linear_code(f, sparse, n))
+        codes.append(linear_code(f, [], n))
+        codes.append(linear_code(f, np.eye(n, dtype=np.uint8)))
+        # last column zero: every twisted shift is the plain rotation
+        codes.append(linear_code(f, [[1] * (n - 1) + [0]]))
+        codes.append(linear_code(f, [[0, 1] + [0] * (n - 2)]))
+        # e_0 in the code: parity column 0 is zero
+        codes.append(linear_code(f, [[1] + [0] * (n - 1), [0] + [1] * (n - 1)]))
+    calls = []
+    syndromes = LinearCode.syndromes
+
+    def counted(self, rows):
+        calls.append(self)
+        return syndromes(self, rows)
+
+    shifts = []
+    for c in codes:
+        # fresh objects: a code's shift is cached once computed
+        want = searched_shift(LinearCode(c.field, c.matrix))
+        fresh = LinearCode(c.field, c.matrix)
+        monkeypatch.setattr(LinearCode, "syndromes", counted)
+        calls.clear()
+        shifts.append(fresh.twisted_shift)
+        monkeypatch.setattr(LinearCode, "syndromes", syndromes)
+        assert shifts[-1] == want, c
+        assert len(calls) <= 1, (c, len(calls))
+    assert shifts.count(None) > 50 and shifts.count(1) > 50
+    assert len(set(shifts)) > 10
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 8, 4), (3, 7, 3), (4, 6, 3), (5, 5, 2)])
