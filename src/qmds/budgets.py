@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BadBudget
+
 DEFAULT_SEED = 0xC0DE
 
 # Column-subset cap for the exact MDS check; min(C(n,k), C(n,n-k)) must stay
@@ -51,12 +53,16 @@ ENUM_LOW = 1024
 ENUM_BYTES = 2**17
 ENUM_PRODUCT_Q = 8
 SAMPLE_CHUNK = 4096
-# Prefix-tree leaves built per step of the walk behind the MDS check and the
-# support scans, and so per batch_rank cross-check of a scan.  With the walk
-# pruned two levels above its leaves, the w = 8 scan of `qmds 5 4` peaks at
-# 4.5 MB traced at 16384 and 2.3 MB at this size, and takes 30 ms instead of
-# 16 ms on one core; the w = 7 scan peaks at 1.6 and 1.3 MB, in the same
-# time.  The MDS check of `mds 64 5` peaks at 1.5 MB at 16384, 1.1 MB here.
+# Prefix-tree nodes built per step of the walk behind the MDS check and the
+# support scans, at most.  The chunks of nodes two levels above the leaves
+# start at SCAN_CHUNK // 64 and double up to this size over one walk, so a
+# scan whose witness comes early builds few nodes.  On one core of a 2-core
+# x86-64 VM, the w = 8 scan of `qmds 5 4`, whose witness is its 136th
+# support, peaks at 0.73 MB traced and takes 3.6 ms at this size, against
+# 1.07 MB and 5.5 ms at 16384; the complete w = 7 scan peaks at 0.91 MB in
+# 9.6 ms here, and at 0.97 MB in 8.5 ms at 16384, where it builds fewer
+# chunks.  The full walk of the parity matrix of `mds 64 5` peaks at
+# 0.88 MB here and 1.45 MB at 16384, in the same 5.5 ms.
 SCAN_CHUNK = 4096
 
 
@@ -71,12 +77,20 @@ class SearchBudget:
         C(n, w) * max(min(k, n-k), 1)**3.
     samples: random messages drawn by the sampling route.
     seed: PRNG seed for every sampled stream.
+
+    A negative ceiling raises BadBudget.
     """
 
     enum: int = 10**6
     support: int = 10**10
     samples: int = 10**6
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        for name in ("enum", "support", "samples"):
+            value = getattr(self, name)
+            if value < 0:
+                raise BadBudget(f"budget {name} must be at least 0, got {value}")
 
 
 DEFAULT_BUDGET = SearchBudget()

@@ -611,6 +611,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = _Out(args.output)
     try:
+        _budget(args)  # a negative budget is an input error to every command
         status = args.func(args, out)
         out.close()
     except Contradiction as exc:

@@ -61,6 +61,10 @@ class BadWeight(QmdsError):
     pass
 
 
+class BadBudget(QmdsError):
+    pass
+
+
 class UnsupportedAlphabet(QmdsError):
     pass
 

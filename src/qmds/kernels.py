@@ -9,8 +9,8 @@ form from one rref of the matrix with its columns reversed, so a code
 given by r parity rows is reduced in r pivots, not in one per dimension.
 Products go through gf_matmul, one float32 product mod p for every
 field: over GF(p**m) it multiplies the base-p digits of the elements.  Every
-elimination (rref, batch_rank and the prefix tree) goes through
-rank_one_update, the one place that picks its arithmetic: integers reduced
+elimination (rref, batch_rank, kernel_lines and the prefix tree) goes
+through rank_one_update, the one place that picks its arithmetic: integers reduced
 mod p over a small prime field, per-field lookup tables otherwise, with the
 difference taken by XOR in characteristic 2.  Every way is just a faster
 way to run the same integer computation.
@@ -18,20 +18,25 @@ Enumeration over small fields counts weights by float32 products of one-hot
 matrices, whose entries are agreement counts at most n and need no reduction.
 
 The MDS check and the support scans share one walk, dependent_supports, over
-the prefix tree of column subsets, SCAN_CHUNK leaves at a time.  A node two
-levels above the leaves is expanded only when two of its remaining columns
-are parallel or one is zero, the only way it can have a dependent
-grandchild; on an MDS matrix no node passes, and the leaves' parents are
-never built.  batch_rank does not choose the supports a scan probes: it
-cross-checks each chunk the tree yields.  On a code closed under a twisted
-shift the same walk can keep to one support per rotation orbit, the
-necklaces: the MDS check then walks only those, and a scan probes only
-those as long as its probes stay exhaustive.  A scan level asks which size-w
-support first carries a word of weight w, given the code and the subcode as
-uint8 parity matrices.  A probe visits the words on its support in the
-enumeration's order, the high blocks of _projective_blocks, and one syndrome
-product per chunk against the subcode's parity columns on the support drops
-its words.
+the prefix tree of column subsets, at most SCAN_CHUNK nodes of a level at a
+time.  A node two levels above the leaves is expanded only when two of its
+remaining columns are parallel or one is zero, the only way it can have a
+dependent grandchild; on an MDS matrix no node passes, and the leaves'
+parents are never built.  The chunks of those nodes start small and grow,
+so a scan that stops at an early support builds few nodes.  batch_rank does
+not choose the supports a scan probes: it cross-checks each chunk the tree
+yields.  On a code closed under a twisted shift the same walk can keep to
+one support per rotation orbit, the necklaces: the MDS check then walks
+only those, and a scan probes only those as long as its probes stay
+exhaustive.  A scan level asks which size-w support first carries a word of
+weight w, given the code and the subcode as uint8 parity matrices.  The
+supports of a chunk whose kernel is a line are settled together:
+kernel_lines reads their kernel vectors off one lockstep elimination, and
+probe_lines checks them against the parity matrix and the subcode by one
+syndrome product each.  Any other support gets a probe of its own, which
+visits the words on it in the enumeration's order, the high blocks of
+_projective_blocks, and drops the subcode's words by one syndrome product
+per chunk against the subcode's parity columns on the support.
 
 Every sample is drawn by PhiloxStream, which reads the messages numpy's
 Generator.integers would draw straight off the raw Philox words, byte by
@@ -241,6 +246,73 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
     return rank
 
 
+def kernel_lines(field, mats: np.ndarray) -> np.ndarray:
+    """For a (B, r, w) stack of matrices whose kernels have dimension one, a
+    (B, w) uint8 array whose row b spans the kernel of mats[b], scaled as
+    null_space scales it: a 1 on its last nonzero entry.
+
+    One lockstep Gauss-Jordan elimination, stepping through the columns as
+    batch_rank does, over the r rows of each matrix and w rows below them
+    that keep the pivot rows.  A column that is nonzero on the first r rows
+    pivots on the last such row: rank_one_update clears the column from
+    every row, which zeroes the pivot row and reduces the kept ones, and
+    the pivot row scaled to a leading 1 is kept in row r + j at step j.  The
+    one column that finds no pivot, j, is then c_0 * col_0 + ... +
+    c_(j-1) * col_(j-1), its entries c_i on the kept rows, and the kernel
+    line is (-c_0, ..., -c_(j-1), 1, 0, ..., 0).  A matrix whose kernel is
+    larger gets the kernel vector of its last free column.
+    """
+    t = field.np_tables()
+    nb, r, w = mats.shape
+    m = np.zeros((w, r + w, nb), dtype=np.uint8)
+    m[:, :r] = mats.transpose(2, 1, 0)
+    lines = np.zeros((w, nb), dtype=np.uint8)
+    ar = np.arange(nb)
+    rows1 = np.arange(1, r + 1, dtype=np.min_scalar_type(r))[:, None]
+    for j in range(w):
+        col = m[0]
+        last = ((col[:r] != 0) * rows1).max(axis=0)  # pivot row + 1, or 0
+        has = last != 0
+        free = np.flatnonzero(~has)
+        lines[:, free] = t.neg[col[r:, free]]
+        lines[j, free] = 1
+        piv = last - has
+        inv = t.inv[col[piv, ar]]  # 0 where the column is free: no update
+        row = m[1:, piv, ar]
+        m = rank_one_update(field, m[1:], col, inv, row[:, None, :])
+        m[:, r + j] = t.mul[inv, row]
+    return np.ascontiguousarray(lines.T)
+
+
+def probe_lines(field, parity, supports: np.ndarray, sub) -> list:
+    """probe_support for each row of a (B, w) array of supports on which
+    the code's kernel has dimension one, as one batch: the one candidate of
+    such a support is its kernel line, which kernel_lines gives.  Returns
+    the B support-local vectors that pass, None for the others; every
+    probe is exhaustive.
+
+    Each line is checked to lie in the kernel, one syndrome product of the
+    full-length vectors against parity, and a line outside it raises
+    Contradiction.  A line passes when it is nonzero on its whole support
+    and, with a subcode, its syndrome against sub is nonzero.
+    """
+    nb = len(supports)
+    lines = kernel_lines(field, parity[:, supports].transpose(1, 0, 2))
+    full = np.zeros((nb, parity.shape[1]), dtype=np.uint8)
+    full[np.arange(nb)[:, None], supports] = lines
+    bad = np.flatnonzero(gf_matmul(field, full, parity.T).any(axis=1))
+    if len(bad):
+        raise Contradiction(
+            f"kernel line {lines[bad[0]].tolist()} of support "
+            f"{supports[bad[0]].tolist()} is not in the kernel"
+        )
+    passing = lines.all(axis=1)
+    if sub is not None:
+        rows = np.flatnonzero(passing)
+        passing[rows] = gf_matmul(field, full[rows], sub.T).any(axis=1)
+    return [tuple(v) if ok else None for v, ok in zip(lines.tolist(), passing)]
+
+
 def _clear_column(field, pm: np.ndarray, node: np.ndarray, col: np.ndarray) -> np.ndarray:
     """For each pair (node, col): the node's matrix after the rank-1 update
     that clears column col, without the pivot row (the first nonzero entry
@@ -303,7 +375,11 @@ def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = Fals
     P = 0 instead, so every completion of it is dependent in turn.  Children
     are built in chunks of at most SCAN_CHUNK (or the children of one node,
     if more), which bounds memory; the walk advances only as far as its
-    consumer reads.
+    consumer reads.  The chunks of the nodes two levels above the leaves
+    start at SCAN_CHUNK // 64 instead and double, chunk after chunk over
+    the whole walk, up to SCAN_CHUNK: a consumer that stops at one of the
+    first supports has the walk build a few hundred nodes near the leaves,
+    not thousands, and a complete walk takes about six chunks more.
 
     A child c of a node at depth size - 2 has a dependent child c' > c
     exactly when P[:, c] is zero or P[:, c'] is a multiple of it: when one
@@ -325,8 +401,10 @@ def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = Fals
     """
     n = mat.shape[1]
     cols = np.arange(n)
+    screened = max(1, SCAN_CHUNK // 64)  # the next chunk two levels above the leaves
 
     def walk(j, pm, prefix, period):
+        nonlocal screened
         # child columns: after the last prefix column, and early enough to
         # leave room for the size - j - 1 columns still to come
         last = prefix[:, j - 1] if j else np.full(1, -1)
@@ -370,7 +448,10 @@ def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = Fals
         start = 0
         while start < len(fan):
             base = fan[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(fan, base + SCAN_CHUNK, side="right")))
+            limit = SCAN_CHUNK
+            if j == size - 3:
+                limit, screened = screened, min(2 * screened, SCAN_CHUNK)
+            stop = max(start + 1, int(np.searchsorted(fan, base + limit, side="right")))
             grow = kids[start:stop]
             if j == size - 2:
                 grow = grow & _may_depend(field, pm[start:stop], last[start:stop])[:, None]
@@ -638,7 +719,9 @@ def probe_support(field, parity, support, sub, seed, tag):
     every projective candidate on this support was checked, in the
     enumeration's order (iter_projective_words); otherwise SUBSCAN_SAMPLES
     messages are drawn with iter_sampled_words.  An empty kernel gives no
-    candidates, and so (None, True).
+    candidates, and so (None, True).  scan_level settles a support whose
+    kernel is a line by probe_lines instead, with the same answer, and
+    probes here the supports with larger kernels and those above r.
     """
     cols = list(support)
     basis = null_space(field, parity[:, cols])
@@ -664,12 +747,17 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
 
     When w <= r only a support whose parity columns are dependent carries a
     word, and dependent_supports finds exactly those on its prefix tree.
-    batch_rank cross-checks them, one call per chunk the walk yields (at most
-    SCAN_CHUNK leaves, or the children of one node), and a support of full
-    rank raises Contradiction.  Above r every support is probed, and the
-    level stops unfinished once DENSE_SUPPORT_CAP probes are spent.  The
-    probe of the support with lexicographic index i samples with tag
-    (w << 32) | i.  Witnesses come back full length.
+    batch_rank cross-checks them, one call per chunk the walk yields (the
+    dependent leaves below at most SCAN_CHUNK parents, or below one node),
+    and a support of full rank raises Contradiction.  The supports of rank
+    w - 1 in the chunk, whose kernel is a line of one projective class, are
+    then settled together by probe_lines, as probe_support would settle
+    each; the others are probed one at a time, in the same lexicographic
+    order, so the outcome is that of probing every support alone.  Above r
+    every support is probed, and the level stops unfinished once
+    DENSE_SUPPORT_CAP probes are spent.  The probe of the support with
+    lexicographic index i samples with tag (w << 32) | i.  Witnesses come
+    back full length.
 
     rotations=True says the code is closed under a twisted shift, which
     maps the words on a support onto those on its rotation by one.  With no
@@ -682,6 +770,8 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
     probe) the full tree is scanned after all.
     """
     r, n = parity.shape
+    # a kernel line is one projective class, which a probe enumerates
+    batched = projective_count(field.q, 1) <= SUBSCAN_EXACT_CAP
 
     def dependent(necklaces):
         for found in dependent_supports(field, parity, w, necklaces):
@@ -690,17 +780,24 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
             if len(indep):
                 bad = found[indep[0]].tolist()
                 raise Contradiction(f"support {bad} has independent parity columns")
-            for support in found.tolist():
-                yield lex_rank(n, support), support
+            settled = [None] * len(found)
+            lines = np.flatnonzero(ranks == w - 1) if batched else []
+            if len(lines):
+                for i, vec in zip(lines.tolist(), probe_lines(field, parity, found[lines], sub)):
+                    settled[i] = vec, True
+            for support, done in zip(found.tolist(), settled):
+                yield lex_rank(n, support), support, done
 
     def probe(supports, cap):
         """The outcome over these supports, and whether every probe
         before its end was exhaustive."""
         exhaustive = True
-        for counter, support in supports:
+        for counter, support, done in supports:
             if counter >= cap:
                 return ScanOutcome(None, counter, False, False), exhaustive
-            vec, exact = probe_support(field, parity, support, sub, seed, (w << 32) | counter)
+            vec, exact = done or probe_support(
+                field, parity, support, sub, seed, (w << 32) | counter
+            )
             if vec is not None:
                 full = np.zeros(n, dtype=np.uint8)
                 full[list(support)] = vec
@@ -709,7 +806,8 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
         return ScanOutcome(None, math.comb(n, w), True, exhaustive), exhaustive
 
     if w > r:
-        return probe(enumerate(itertools.combinations(range(n), w)), DENSE_SUPPORT_CAP)[0]
+        dense = ((i, s, None) for i, s in enumerate(itertools.combinations(range(n), w)))
+        return probe(dense, DENSE_SUPPORT_CAP)[0]
     if rotations and sub is None:
         out, exhaustive = probe(dependent(True), math.inf)
         if exhaustive:

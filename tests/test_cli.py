@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmds
+from qmds.budgets import SearchBudget
 from qmds.ccodes import build_code, mds_spec
 from qmds.cli import main
-from qmds.errors import TooLarge
+from qmds.errors import BadBudget, TooLarge
 from qmds.gf import MAX_FIELD_ORDER
 from qmds.linalg import mds_verify
 
@@ -321,6 +322,17 @@ def test_malformed_range_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--budget-enum", "-1"), ("--budget-support", "-3"), ("--budget-samples", "-5"),
+])
+def test_negative_budget_is_a_usage_error(capsys, flag, value):
+    status, out, err = run(capsys, flag, value, "qmds", "3", "3")
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and value in err
+    with pytest.raises(BadBudget):
+        SearchBudget(**{flag.removeprefix("--budget-"): int(value)})
 
 
 def test_root_field_too_large_is_an_input_error(capsys):

@@ -54,7 +54,13 @@ of searched and rank_one_update took differences by XOR in characteristic
 81 5` and `mds 256 4` print the check over an odd and an even table field,
 `q2p2 3` checks a [66,63] code that no twisted shift maps into itself, and
 `qmds 8 9` at a raised support budget settles the distance of a [65,57]
-code by eliminations over GF(64).
+code by eliminations over GF(64).  The last two were recorded at commit
+d39e212, before support scans settled the supports whose kernel is a line
+in one batched elimination per chunk and grew the walk's chunks two
+levels above the leaves: `weights 5 4` at enum 1 and no samples decides
+all 26 levels of the [26,17] P(C) over GF(5) by scan alone, the dense
+levels above r included, and `conjectures --q 5..5` reports every d of
+that alphabet.
 """
 
 import hashlib
@@ -159,6 +165,11 @@ GOLDEN = [
      "1e278e16de46e8ea740ebe4bb9858d616f007c0129202ea106e46d9148f96ed7", 0),
     (("--budget-support", "1000000000", "--budget-samples", "20000", "qmds", "8", "9"),
      "f87a286a160d56952cc1f3838e0f04f3061d6012962a38bb8474d94d0241acfd", 0),
+    # batched kernel-line probes and growing chunks above the leaves
+    (("--budget-enum", "1", "--budget-samples", "0", "weights", "5", "4"),
+     "a477f9b98b0f4f9890642ab747db2c65b6e8e3b289949c9ad39ba726dbb7f2a8", 0),
+    (("conjectures", "--q", "5..5"),
+     "d69ceb375c1b37e4289d94fc5c500e3ea312363641dea0c5d3d7837493b4e687", 0),
 ]
 
 # Witnesses as `qmds 3 4` (weight 10) and `q2p2 2` print them, each with the

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmds import kernels
-from qmds.budgets import SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP, SUBSCAN_SAMPLES
+from qmds.budgets import (
+    DEFAULT_SEED, SAMPLE_CHUNK, SCAN_CHUNK, SUBSCAN_EXACT_CAP, SUBSCAN_SAMPLES,
+)
 from qmds.ccodes import build_code, mds_spec
 from qmds.errors import Contradiction
 from qmds.gf import _prime_power_parts, build_field, field_for_order
@@ -1038,6 +1040,116 @@ def test_scan_level_dense_cap(monkeypatch):
     monkeypatch.setattr(kernels, "DENSE_SUPPORT_CAP", 6)
     out = scan_level(F3, parity, 5, 0, sub=parity)
     assert out.completed and out.exhaustive and out.supports_scanned == 6
+
+
+def checked_batches(monkeypatch):
+    """Make every probe_lines batch that scan_level settles also probe each
+    of its supports alone with probe_support, and demand the same answer.
+    Returns the sizes of the batches checked."""
+    batch = kernels.probe_lines
+    sizes = []
+
+    def checked(field, parity, supports, sub):
+        got = batch(field, parity, supports, sub)
+        for support, vec in zip(supports.tolist(), got):
+            assert (vec, True) == probe_support(field, parity, support, sub, 0, 0), support
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(kernels, "probe_lines", checked)
+    return sizes
+
+
+HEAVY = bool(os.environ.get("QMDS_HEAVY"))
+# spectral P(C) levels for the batched probes: (q, d, highest level w <= r).
+# Every level of (5, 6) = [26, 1] above 8 walks millions of subsets and
+# finds none, and (7, d >= 5) levels above 7 walk 10**8 and more (w = 9 of
+# (7, 5) takes 40 s), so tier-1 stops (5, 6) at 8 and the heavy run stops
+# those of q = 7 at 7.
+BATCH_CASES = [(q, d, None) for q in (2, 3, 4, 5) for d in range(2, q + 2) if (q, d) != (5, 6)]
+BATCH_CASES += [(5, 6, None if HEAVY else 8)]
+if HEAVY:
+    BATCH_CASES += [(7, d, None if d <= 4 else 7) for d in range(2, 9)]
+
+
+def scan_variants(monkeypatch, f, parity, w, sub):
+    """scan_level at SCAN_CHUNK 1, 5 and the default against the reference
+    scan, which ranks every support and probes them one at a time."""
+    want = oracles.scan_level(f, parity, w, 11, sub=sub)
+    for chunk in (1, 5, SCAN_CHUNK):
+        monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
+        assert scan_level(f, parity, w, 11, sub=sub) == want, (chunk, w)
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", SCAN_CHUNK)
+
+
+@pytest.mark.parametrize("q,d,top", BATCH_CASES, ids=str)
+def test_batched_probe_matches_probe_support(monkeypatch, q, d, top):
+    """Every support whose kernel is a line is settled by probe_lines as
+    probe_support settles it alone, on each level of the spectral P(C):
+    the necklace scan the engine runs, and where the tree above the level's
+    leaves has at most 2,000 nodes, the full scan, with and without a
+    subcode, against the reference scan."""
+    sizes = checked_batches(monkeypatch)
+    code = spectral_pc(q, d)
+    f, parity = code.field, code.parity_matrix
+    found = False
+    for w in range(1, min(len(parity), top or len(parity)) + 1):
+        found |= scan_level(f, parity, w, 11, rotations=True).witness is not None
+        if sum(math.comb(code.n, j) for j in range(w - 1)) <= 2_000:
+            for sub in (None, first_row_span(code)):
+                scan_variants(monkeypatch, f, parity, w, sub)
+    # every witness of these levels lies on a support whose kernel is a line
+    assert bool(sizes) == found
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F5, F7, F8, F9], ids=lambda f: f"GF{f.q}")
+def test_batched_probe_matches_probe_support_on_random_codes(monkeypatch, f):
+    sizes = checked_batches(monkeypatch)
+    rng = random.Random(190 + f.q)
+    for code in scan_cases(f, rng):
+        for w in range(1, len(code.parity_rows) + 1):
+            for sub in (None, first_row_span(code)):
+                scan_variants(monkeypatch, f, code.parity_matrix, w, sub)
+    assert sum(sizes) > 0
+
+
+def test_batched_probe_refuses_a_line_outside_the_kernel(monkeypatch):
+    code = spectral_pc(3, 3)
+    f, parity = code.field, code.parity_matrix
+    w = next(w for w in range(1, code.n) if scan_level(f, parity, w, 0).witness)
+    lines = kernels.kernel_lines
+
+    def planted(field, mats):
+        out = lines(field, mats)
+        out[0, 0] = field.add(int(out[0, 0]), 1)  # the first line leaves the kernel
+        return out
+
+    monkeypatch.setattr(kernels, "kernel_lines", planted)
+    with pytest.raises(Contradiction):
+        scan_level(f, parity, w, 0)
+
+
+def test_scan_builds_few_leaves_before_an_early_witness(monkeypatch):
+    """At w = 8 the (5, 4) P(C) = [26, 17] carries a word on its 136th
+    support.  The walk's chunks of nodes two levels above the leaves start
+    small, so before the scan returns it builds a few hundred nodes on the
+    last two levels of the tree, not the several thousand of one full
+    SCAN_CHUNK."""
+    code = spectral_pc(5, 4)
+    f, parity = code.field, code.parity_matrix
+    r, w = len(parity), 8
+    low = []
+    clear = kernels._clear_column
+
+    def counted(field, pm, node, col):
+        if r - pm.shape[1] + 1 >= w - 2:  # the depth of the children built
+            low.append(len(node))
+        return clear(field, pm, node, col)
+
+    monkeypatch.setattr(kernels, "_clear_column", counted)
+    out = scan_level(f, parity, w, DEFAULT_SEED, rotations=True)
+    assert out.witness is not None and out.supports_scanned == 136
+    assert 0 < sum(low) <= 600
 
 
 @pytest.mark.parametrize("f", [F2, F3, F5, F7, F11, F4, F9, F64], ids=repr)
