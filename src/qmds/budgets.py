@@ -35,7 +35,10 @@ SUBSCAN_SAMPLES = 512
 # words and drops the rest of the 32-bit word its last byte came from), so
 # SAMPLE_CHUNK fixes which words every sampling pass sees.  A pass encodes
 # only the messages of a chunk whose unit-column weight can still reach a
-# missing weight, and draws no more chunks once no weight is missing.
+# weight neither found nor proven absent, and draws no more chunks once no
+# such weight is left.  Where WordSearch.decide runs the level scans first
+# and they settle every weight, the pass draws no chunk at all, and
+# SAMPLE_CHUNK fixes no witness there.
 ENUM_CHUNK = 4096
 # Enumeration counts weights block by block: ENUM_CHUNK high words are
 # encoded at a time (a support probe's words are such high blocks, with no

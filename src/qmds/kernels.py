@@ -30,7 +30,8 @@ one support per rotation orbit, the necklaces: the MDS check then walks
 only those, and a scan probes only those as long as its probes stay
 exhaustive.  A scan level asks which size-w support first carries a word of
 weight w, given the code and the subcode as uint8 parity matrices.  The
-supports of a chunk whose kernel is a line are settled together:
+supports of a chunk whose kernel is a line are settled together, in slices
+that grow over the level, so a scan that stops early settles few:
 kernel_lines reads their kernel vectors off one lockstep elimination, and
 probe_lines checks them against the parity matrix and the subcode by one
 syndrome product each.  Any other support gets a probe of its own, which
@@ -44,8 +45,9 @@ byte by Lemire's method, and hands back the accepted bytes themselves: an
 element is nonzero exactly when its byte is at least ceil(256/q), so a
 caller can bound a message's weight before it decodes the message.  A
 sampling pass (linalg.WordSearch.sample) encodes only the messages whose
-unit-column weight can still reach a missing weight, and stops drawing
-once none is missing.
+unit-column weight can still reach a weight neither found nor proven
+absent, and stops drawing once none is left; where the level scans ran
+first and settled every weight, it draws nothing.
 """
 
 from __future__ import annotations
@@ -695,6 +697,12 @@ class ScanOutcome:
     completed: bool
     exhaustive: bool
 
+    @property
+    def decided(self) -> bool:
+        """The level holds a witness, or a complete exhaustive scan proved
+        it empty."""
+        return self.witness is not None or (self.completed and self.exhaustive)
+
 
 def _first_passing(field, words: np.ndarray, sub_cols):
     """The first row of words, as a tuple, that is nonzero in every
@@ -751,11 +759,14 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
     dependent leaves below at most SCAN_CHUNK parents, or below one node),
     and a support of full rank raises Contradiction.  The supports of rank
     w - 1 in the chunk, whose kernel is a line of one projective class, are
-    then settled together by probe_lines, as probe_support would settle
-    each; the others are probed one at a time, in the same lexicographic
-    order, so the outcome is that of probing every support alone.  Above r
-    every support is probed, and the level stops unfinished once
-    DENSE_SUPPORT_CAP probes are spent.  The probe of the support with
+    then settled by probe_lines, as probe_support would settle each, in
+    slices of consecutive such supports taken when the scan reaches the
+    first of them: the first SCAN_CHUNK // 64 of them, each slice after
+    twice the one before, over the whole level, so a level whose witness
+    comes early settles few lines past it.  The others are probed one at a
+    time, in the same lexicographic order, so the outcome is that of
+    probing every support alone.  Above r every support is probed, and the
+    level stops unfinished once DENSE_SUPPORT_CAP probes are spent.  The probe of the support with
     lexicographic index i samples with tag (w << 32) | i.  Witnesses come
     back full length.
 
@@ -774,18 +785,21 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
     batched = projective_count(field.q, 1) <= SUBSCAN_EXACT_CAP
 
     def dependent(necklaces):
+        grow = max(1, SCAN_CHUNK // 64)  # the line supports the next slice settles
         for found in dependent_supports(field, parity, w, necklaces):
             ranks = batch_rank(field, parity[:, found].transpose(1, 0, 2))
             indep = np.flatnonzero(ranks == w)
             if len(indep):
                 bad = found[indep[0]].tolist()
                 raise Contradiction(f"support {bad} has independent parity columns")
-            settled = [None] * len(found)
-            lines = np.flatnonzero(ranks == w - 1) if batched else []
-            if len(lines):
-                for i, vec in zip(lines.tolist(), probe_lines(field, parity, found[lines], sub)):
-                    settled[i] = vec, True
-            for support, done in zip(found.tolist(), settled):
+            lines = np.flatnonzero(ranks == w - 1).tolist() if batched else []
+            settled, at = {}, 0  # lines[:at] are settled
+            for i, support in enumerate(found.tolist()):
+                if at < len(lines) and lines[at] == i:
+                    part = lines[at:at + grow]
+                    settled.update(zip(part, probe_lines(field, parity, found[part], sub)))
+                    at, grow = at + len(part), 2 * grow
+                done = (settled[i], True) if i in settled else None
                 yield lex_rank(n, support), support, done
 
     def probe(supports, cap):

@@ -350,9 +350,9 @@ class WordSearch:
 
     found keeps the first witness seen per weight, absent the weights a
     route proved missing.  Three routes fill them: enumerate (exact, every
-    weight), scan (one support level) and sample (witnesses only).  Every
-    route visits words in a fixed order, so each witness is the first word
-    of its weight in that order.  The class owns every budget gate and
+    weight), scan (one support level, each outcome kept in scans) and
+    sample (witnesses only).  Every route visits words in a fixed order,
+    so each witness is the first word of its weight in that order.  The class owns every budget gate and
     route order: enumerable and scan hold the gates, decide (one weight)
     and lowest (the lowest weight) the orders.
     """
@@ -367,6 +367,10 @@ class WordSearch:
         self.exact_counts: list[int] | None = None
         # (samples, seed, tag) of the last full sampling pass; None before one
         self.sampled: tuple[int, int, int] | None = None
+        # the outcome of each level scan run, by (w, seed): none runs twice
+        self.scans: dict[tuple[int, int], kernels.ScanOutcome] = {}
+        # per budget decide has searched at: did the level scans go first
+        self.scans_first: dict[SearchBudget, bool] = {}
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -398,14 +402,23 @@ class WordSearch:
         q, leads = self.code.field.q, self.leads
         return q ** (self.code.k - leads) * kernels.projective_count(q, leads) <= budget.enum
 
-    def scan(self, w: int, budget: SearchBudget):
-        """Support scan for a word of weight w, or None when its gate
-        refuses: when C(n, w) * max(min(k, n - k), 1)**3 exceeds
-        budget.support.  A completed exhaustive scan proves weight w absent."""
+    def admits(self, w: int, budget: SearchBudget) -> bool:
+        """The one scan gate: C(n, w) * max(min(k, n - k), 1)**3 is at
+        most budget.support."""
         code = self.code
         side = max(min(code.k, code.n - code.k), 1)
-        if math.comb(code.n, w) * side**3 > budget.support:
+        return math.comb(code.n, w) * side**3 <= budget.support
+
+    def scan(self, w: int, budget: SearchBudget):
+        """Support scan for a word of weight w, or None when its gate
+        refuses.  A completed exhaustive scan proves weight w absent.  The
+        outcome depends on the code, w and the seed alone, so a level
+        scanned before under the same seed is not scanned again."""
+        if not self.admits(w, budget):
             return None
+        if (w, budget.seed) in self.scans:
+            return self.scans[w, budget.seed]
+        code = self.code
         out = kernels.scan_level(
             code.field, code.parity_matrix, w, budget.seed,
             sub=self.sub.parity_matrix if self.sub else None,
@@ -415,6 +428,7 @@ class WordSearch:
             self.record(out.witness)
         elif out.completed and out.exhaustive:
             self.absent.add(w)
+        self.scans[w, budget.seed] = out
         return out
 
     def sample(self, budget: SearchBudget, tag: int, stop: int | None = None) -> None:
@@ -429,8 +443,10 @@ class WordSearch:
         bounds its weight to [base, base + the other columns].  Only the
         messages whose interval holds a weight not yet found are decoded
         and encoded on those other columns, and a full word is built only
-        for the first message of each new weight.  Once every weight in
-        1..n is found, the pass draws no more and still counts as full.
+        for the first message of each new weight.  A weight proven absent
+        counts as settled too: once every weight in 1..n is found or
+        absent, the pass draws no more and still counts as full, so after
+        level scans that settled every weight it draws nothing.
         """
         if self.sampled == (budget.samples, budget.seed, tag):
             return
@@ -441,9 +457,10 @@ class WordSearch:
         spread = np.minimum(np.arange(n + 1) + rest.shape[1], n) + 1
 
         def reach():
-            """reach[b]: some weight in [b, b + rest columns] is missing."""
+            """reach[b]: some weight in [b, b + rest columns] is neither
+            found nor absent."""
             missing = np.ones(n + 1, dtype=bool)
-            missing[[0, *self.found]] = False
+            missing[[0, *self.found, *self.absent]] = False
             below = np.concatenate(([0], np.cumsum(missing)))  # missing weights < i
             return below[spread] > below[:-1]
 
@@ -465,7 +482,7 @@ class WordSearch:
             if len(msgs):
                 weights += np.count_nonzero(kernels.gf_matmul(f, msgs, rest), axis=1)
             new = [w for w in np.flatnonzero(np.bincount(weights)).tolist()
-                   if w and w not in self.found]
+                   if w and w not in self.found and w not in self.absent]
             if new:
                 firsts = [int(np.argmax(weights == w)) for w in new]
                 words = kernels.gf_matmul(f, msgs[firsts], rows)
@@ -499,10 +516,17 @@ class WordSearch:
         """Whether a word of weight exactly w occurs.
 
         Routes in one fixed order: the verdicts found and absent already
-        hold, enumeration when it is enumerable, the sampling pass that
-        every weight shares (it runs once per budget), and the level-w scan
-        only when sampling did not find w.  The answer is the same whether
-        w is asked alone or after other weights.
+        hold, then enumeration when it is enumerable, then the search.  The
+        first time a budget reaches the search, its order is fixed for that
+        budget.  If the scan gate admits every open level (neither found
+        nor absent), each open level is scanned, in ascending order, before
+        the sampling pass that every weight shares (it runs once per
+        budget).  The pass then hunts only the weights the scans left open,
+        and draws nothing once they settled them all.  Otherwise the pass
+        goes first, and the level-w scan runs only when the pass did not
+        find w.  A weight that an earlier call settled by scan reports that
+        scan's supports_scanned along with the cache.  The answer is the
+        same whether w is asked alone or after other weights.
         """
         if not (1 <= w <= self.code.n):
             raise BadWeight(f"weight {w} outside 1..{self.code.n}")
@@ -510,15 +534,25 @@ class WordSearch:
             return PresenceResult(w, "ProvenAbsent", None, {"reason": "zero code"})
         if w in self.found or w in self.absent:
             effort = {"cache": True}
+            out = self.scans.get((w, budget.seed))
+            if out is not None and out.decided:
+                effort["supports_scanned"] = out.supports_scanned
         elif self.enumerable(budget):
             self.enumerate()
             effort = {"enumerated": True}
         else:
+            levels = [v for v in range(1, self.code.n + 1)
+                      if v not in self.found and v not in self.absent]
+            first = self.scans_first.setdefault(
+                budget, all(self.admits(v, budget) for v in levels))
+            if first:
+                for v in levels:
+                    self.scan(v, budget)
             self.sample(budget, tag=0x77)
-            out = None if w in self.found else self.scan(w, budget)
+            out = self.scan(w, budget) if first or w not in self.found else None
             effort = {} if out is None else {"supports_scanned": out.supports_scanned}
             # credited to sampling when it found w or w stays undecided
-            if out is None or not (w in self.found or w in self.absent):
+            if out is None or not out.decided:
                 effort["samples"] = budget.samples
                 effort["seed"] = budget.seed
         if w in self.found:

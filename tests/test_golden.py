@@ -60,7 +60,22 @@ in one batched elimination per chunk and grew the walk's chunks two
 levels above the leaves: `weights 5 4` at enum 1 and no samples decides
 all 26 levels of the [26,17] P(C) over GF(5) by scan alone, the dense
 levels above r included, and `conjectures --q 5..5` reports every d of
-that alphabet.
+that alphabet.  The last one was recorded at commit 1951f1a, before
+decide scanned every open level ahead of the sampling pass wherever the
+scan gate admits them all: `--budget-support 0 qmds 5 4` admits no level,
+so it keeps the full default pass over the [26,17] P(C) pinned.  At that
+change five hashes were re-recorded, each with the same verdicts and exit
+code, and every changed witness passing `qmds verify`, because the level
+scans now find the witnesses the pass found before:
+`--budget-enum 1 qmds 3 3` (64b1a91e... -> 4f111e7b..., now the same bytes
+as at no samples), `--budget-enum 1 --budget-samples 10 weights 3 3
+--range 1..10` (6e425495... -> e4d09b6b...), `qmds 5 4` (da50b85f... ->
+e563203a...), `--budget-enum 10 --budget-samples 1000 weights 4 3`
+(5e07531a... -> 28f1333a...) and `--seed 7 qmds 5 4` (e5a70f8a... ->
+1ed0bc84...).  Neither `qmds 5 4` case runs the full pass any more: at
+the default seed the scans settle every level and the pass draws nothing,
+and at seed 7 it draws one chunk, for the weight 26 that the level's one
+sampled probe missed.
 """
 
 import hashlib
@@ -76,7 +91,7 @@ GOLDEN = [
     (("qmds", "4", "4"),
      "53fa5091c5217d692106307844216aec8c77d32641d32611f8d5a8f6bc159212", 0),
     (("--budget-enum", "1", "qmds", "3", "3"),
-     "64b1a91e395774d0c2f6ca9fd08d2572a33727a5987e2be109fa5159a41eabf9", 0),
+     "4f111e7b8e03297a2c65b52611dbb76c1de32228e5a5254bea1cf4e4cdd99d6c", 0),
     (("--budget-enum", "1", "--budget-support", "0", "--budget-samples", "3000",
       "qmds", "4", "3"),
      "9c34e1544ed7256172dafd0acd5b0be5f4e9c8507f81f09911718351a6b920a2", 3),
@@ -95,7 +110,7 @@ GOLDEN = [
     # sampling that stops at the floor after partial level scans
     (("--budget-enum", "1", "--budget-samples", "10", "weights", "3", "3",
       "--range", "1..10"),
-     "6e425495471df65aa9a5751218aa5411e4fa365c0d1e82d795f337d1158e0d73", 0),
+     "e4d09b6bb7b670b804419849a1bd31c4e266b8f8e63aedacae6fdb4d06e78695", 0),
     (("--budget-enum", "1", "--budget-support", "300", "--budget-samples", "20000",
       "qmds", "3", "3"),
      "800b95ce3f3555bb50c74e8453e9c70f0d0e4ce09ff98cee2589d80b7de7c4c5", 0),
@@ -112,16 +127,16 @@ GOLDEN = [
      "c6ac26910fbaf318e2a260ead270ba1f8c0972098fa720cc1fabedfa392ea9e0", 0),
     # the encode, rank and RREF kernels
     (("qmds", "5", "4"),
-     "da50b85ffd257d39c069a4a8c9dab746ea3cf96cfe150ae842ada2664409fbfc", 0),
+     "e563203a9208afe9ed65cba62c21d1defd8b0b2e470c5f93a3ec7bf5c6a6aa72", 0),
     (("--budget-enum", "2500000", "qmds", "5", "5"),
      "89fd1becd1485c3bbea5b097ff8b0d0ef0fae730f240d95c944025292e770064", 0),
     (("pc", "8", "2", "--route", "both"),
      "205a587e74153203d317e5dd76c76081859fe1e27aa569058f980fd9faaa3bec", 0),
     (("pc", "7", "4", "--route", "both"),
      "5c122b82b51e06b09734bb73c3dbd28128459ec0be6c99f7e66f9bdb6265606b", 0),
-    # the presence route order: sampling pass, then scans
+    # the presence route order: level scans first where the gate admits them
     (("--budget-enum", "10", "--budget-samples", "1000", "weights", "4", "3"),
-     "5e07531abe6fa67bab7dfe08541c067b668c9f9f92a703bdfa2c8f2b5165f863", 0),
+     "28f1333a7773e4ed744a158511a39bec26eda961529b085aca7ddf853f651e1c", 0),
     (("--budget-enum", "1", "--budget-samples", "0", "qmds", "3", "3"),
      "4f111e7b8e03297a2c65b52611dbb76c1de32228e5a5254bea1cf4e4cdd99d6c", 0),
     # support scans on the prefix tree, table and mod-p fields
@@ -141,9 +156,9 @@ GOLDEN = [
     (("--budget-enum", "1", "--budget-support", "0", "--budget-samples", "4096",
       "weights", "9", "3"),
      "2c074d5e78a19739c39aab08de33e7ac3038060cc53c6b7c7ea964b64f86db0f", 3),
-    # the full default sampling pass on another seed's stream
+    # the default budget on another seed's stream
     (("--seed", "7", "qmds", "5", "4"),
-     "e5a70f8a26e095cf71e0dd72e4e9afdf40bcc6bf20b3ae76d975da9844930d37", 0),
+     "1ed0bc843d7977e74342a9c92ac42d0d3b0eb9a7ce42e21d045162da7b529fe4", 0),
     # the achievability grid, each cell settled at the default budget
     (("figdata", "5"),
      "a44f63b5491d66e5e31258dd138033e59342de8608a46ea73bc0340983937cb5", 0),
@@ -170,6 +185,9 @@ GOLDEN = [
      "a477f9b98b0f4f9890642ab747db2c65b6e8e3b289949c9ad39ba726dbb7f2a8", 0),
     (("conjectures", "--q", "5..5"),
      "d69ceb375c1b37e4289d94fc5c500e3ea312363641dea0c5d3d7837493b4e687", 0),
+    # the full default sampling pass where the scan gate admits no level
+    (("--budget-support", "0", "qmds", "5", "4"),
+     "b90ba41919b48709539eb3fa88663bbcb041a78f82a0f8d54ffe540f23bec855", 3),
 ]
 
 # Witnesses as `qmds 3 4` (weight 10) and `q2p2 2` print them, each with the

@@ -1152,6 +1152,33 @@ def test_scan_builds_few_leaves_before_an_early_witness(monkeypatch):
     assert 0 < sum(low) <= 600
 
 
+def test_line_probes_stop_at_the_witness(monkeypatch):
+    """At w = 9 = r the (5, 4) P(C) = [26, 17] carries a word on its 37th
+    support, and the necklace walk yields that support in a chunk of 466
+    supports whose kernel is a line.  The scan settles them in slices that
+    grow from SCAN_CHUNK // 64, so probe_lines gets the first slice alone,
+    and the outcome is that of probing the chunk's supports one at a time
+    with probe_support."""
+    sizes = checked_batches(monkeypatch)
+    code = spectral_pc(5, 4)
+    f, parity = code.field, code.parity_matrix
+    w = len(parity)
+    chunk = next(dependent_supports(f, parity, w, necklaces=True))
+    ranks = batch_rank(f, parity[:, chunk].transpose(1, 0, 2))
+    assert np.count_nonzero(ranks == w - 1) == 466
+    for support in chunk.tolist():
+        vec, _ = probe_support(f, parity, support, None, 0, 0)
+        if vec is not None:
+            break
+    full = np.zeros(code.n, dtype=np.uint8)
+    full[support] = vec
+    out = scan_level(f, parity, w, DEFAULT_SEED, rotations=True)
+    assert out.supports_scanned == lex_rank(code.n, support) + 1 == 37
+    assert out.witness == tuple(full.tolist())
+    assert not out.completed and not out.exhaustive
+    assert sizes == [SCAN_CHUNK // 64]
+
+
 @pytest.mark.parametrize("f", [F2, F3, F5, F7, F11, F4, F9, F64], ids=repr)
 def test_rank_one_update_matches_scalar_reference(f):
     rng = np.random.default_rng(f.q)

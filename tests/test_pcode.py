@@ -1,11 +1,13 @@
 """Puncture-code construction and weight-presence searches."""
 
+import math
+import os
 import random
 from dataclasses import replace
 
 import pytest
 
-from qmds.budgets import SearchBudget
+from qmds.budgets import DEFAULT_BUDGET, SearchBudget
 from qmds.ccodes import build_code, mds_spec
 from qmds.errors import (
     BadWeight,
@@ -17,7 +19,7 @@ from qmds.errors import (
     ZeroWord,
 )
 from qmds.gf import build_field, field_for_order
-from qmds import pcode
+from qmds import kernels, pcode
 from qmds.linalg import WordSearch, dual, linear_code
 from qmds.pcode import (
     in_puncture_code,
@@ -128,6 +130,48 @@ def test_enumeration_and_macwilliams_of_the_dual_agree(q, d):
     )
 
 
+def check_default_spectrum(q, d, counts_of):
+    """Every verdict of the default-budget spectrum of the spectral P(C)
+    against its weight distribution A_w: ProvenAbsent exactly when A_w = 0,
+    else a witness that is a word of P(C) of weight w.  counts_of counts
+    the words of the smaller of P(C) and its Euclidean dual, and A_w is
+    oracles.macwilliams_dual_spectrum of those counts when that is the
+    dual."""
+    pc = puncture_spectral(mds_spec(q * q, d))
+    base = pc.base
+    if base.k <= base.n - base.k:
+        counts = counts_of(base)
+    else:
+        other = dual(base)
+        counts = oracles.macwilliams_dual_spectrum(counts_of(other), q, base.n, other.k)
+    for res in weight_spectrum(pc):
+        if counts[res.weight]:
+            assert res.verdict == "FoundWitness", (q, d, res.weight, res.verdict)
+            assert sum(1 for v in res.witness if v) == res.weight
+            assert oracles.is_member(base, res.witness)
+        else:
+            assert res.verdict == "ProvenAbsent", (q, d, res.weight, res.verdict)
+
+
+@pytest.mark.parametrize("q,d", [(q, d) for q in (2, 3, 4) for d in range(2, q + 2)])
+def test_default_spectrum_matches_macwilliams(q, d):
+    check_default_spectrum(q, d, oracles.brute_spectrum)
+
+
+def enumerated_counts(code):
+    search = WordSearch(code)
+    search.enumerate()
+    return search.exact_counts
+
+
+@pytest.mark.skipif(not os.environ.get("QMDS_HEAVY"), reason="set QMDS_HEAVY=1 for q = 5")
+@pytest.mark.parametrize("d", range(2, 7))
+def test_default_spectrum_matches_macwilliams_heavy(d):
+    """q = 5: the smaller side, up to the [26, 9] dual of the (5, 4) P(C)
+    and the [26, 10] P(C) of (5, 5), is counted by WordSearch.enumerate."""
+    check_default_spectrum(5, d, enumerated_counts)
+
+
 def test_weight_present_cache_and_bounds():
     spectral, _ = both_routes(2, 3)
     first = weight_present(spectral, 5)
@@ -169,11 +213,16 @@ def test_weight_present_routes_match_brute_spectrum(route, budget, effort_key):
 
 def test_raising_a_budget_keeps_every_decided_verdict():
     base = SearchBudget(enum=10, support=1000, samples=50, seed=7)
+    # the (4, 3) P(C) = [17, 13] gates its widest levels, w = 8 and 9, at
+    # C(17, 8) * 4**3: from that support on the level scans go first
+    switch = math.comb(17, 8) * 4**3
     raised = [
         replace(base, enum=10**6),
         replace(base, support=10**12),
         replace(base, samples=10**5),
         replace(base, support=10**12, samples=10**5),
+        replace(base, support=switch - 1),
+        replace(base, support=switch),
     ]
     for q, d in [(3, 3), (2, 2), (4, 3)]:
         low = weight_spectrum(both_routes(q, d)[0], None, base)
@@ -183,12 +232,18 @@ def test_raising_a_budget_keeps_every_decided_verdict():
             for a, b in zip(low, high):
                 if a.verdict != "UnknownWithinBudget":
                     assert b.verdict == a.verdict, (q, d, budget, a.weight)
+    below, at = (weight_spectrum(both_routes(4, 3)[0], None, b) for b in raised[-2:])
+    for a, b in zip(below, at):
+        if a.verdict != "UnknownWithinBudget":
+            assert b.verdict == a.verdict, a.weight
 
 
-@pytest.mark.parametrize("q,d,samples", [(4, 3, 1000), (3, 3, 20)])
+@pytest.mark.parametrize("q,d,samples", [(4, 3, 1000), (3, 3, 20), (4, 3, None), (5, 4, None)])
 def test_presence_alone_matches_spectrum(q, d, samples):
-    # the sampling pass finds some weights, scans decide the rest
-    budget = SearchBudget(enum=10, support=10**9, samples=samples, seed=7)
+    # the level scans decide what they can, the sampling pass hunts the
+    # rest; samples=None asks at the default budget
+    budget = DEFAULT_BUDGET if samples is None else SearchBudget(
+        enum=10, support=10**9, samples=samples, seed=7)
     spec = mds_spec(q * q, d)
     together = weight_spectrum(puncture_spectral(spec), None, budget)
     assert {"cache", "supports_scanned"} <= {k for r in together for k in r.effort}
@@ -233,6 +288,32 @@ def test_sampling_pass_reruns_for_a_new_budget():
     again = weight_present(pc, 20, wide)
     assert again.verdict == "FoundWitness"
     assert again.witness == weight_present(fresh, 20, wide).witness
+
+
+def test_level_scans_go_first_where_the_gate_admits_every_level(monkeypatch):
+    """At the default budget the scan gate admits every level of the (4, 3)
+    P(C) = [17, 13], so the level scans settle the code and the shared
+    sampling pass (tag 0x77) draws nothing.  With support=0 it admits none,
+    and the pass runs first, as it did before the scans could go first."""
+    tags = []
+
+    class Spy(kernels.PhiloxStream):
+        def __init__(self, q, seed, tag):
+            super().__init__(q, seed, tag)
+            self.tag = tag
+
+        def raw(self, cnt, k):
+            tags.append(self.tag)
+            return super().raw(cnt, k)
+
+    monkeypatch.setattr(kernels, "PhiloxStream", Spy)
+    spec = mds_spec(16, 3)
+    scanned = weight_spectrum(puncture_spectral(spec))
+    assert 0x77 not in tags
+    assert all(r.verdict != "UnknownWithinBudget" for r in scanned)
+    sampled = weight_spectrum(puncture_spectral(spec), None, replace(DEFAULT_BUDGET, support=0))
+    assert 0x77 in tags
+    assert any("samples" in r.effort for r in sampled)
 
 
 def test_spectrum_after_lowest_keeps_every_verdict():
