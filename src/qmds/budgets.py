@@ -57,15 +57,15 @@ ENUM_BYTES = 2**17
 ENUM_PRODUCT_Q = 8
 SAMPLE_CHUNK = 4096
 # Prefix-tree nodes built per step of the walk behind the MDS check and the
-# support scans, at most.  The chunks of nodes two levels above the leaves
-# start at SCAN_CHUNK // 64 and double up to this size over one walk, so a
-# scan whose witness comes early builds few nodes.  On one core of a 2-core
+# support scans, at most.  At every depth the chunks start at
+# SCAN_CHUNK // 64 and double up to this size over one walk, so a scan
+# whose witness comes early builds few nodes.  On one core of a 2-core
 # x86-64 VM, the w = 8 scan of `qmds 5 4`, whose witness is its 136th
-# support, peaks at 0.73 MB traced and takes 3.6 ms at this size, against
-# 1.07 MB and 5.5 ms at 16384; the complete w = 7 scan peaks at 0.91 MB in
-# 9.6 ms here, and at 0.97 MB in 8.5 ms at 16384, where it builds fewer
-# chunks.  The full walk of the parity matrix of `mds 64 5` peaks at
-# 0.88 MB here and 1.45 MB at 16384, in the same 5.5 ms.
+# support, peaks at 0.11 MB traced and takes 1.6-2.9 ms at this size,
+# against 0.37 MB and 2.4-4.3 ms at 16384; the complete w = 7 scan peaks at
+# 0.74 MB in about 13 ms here, and at 0.92 MB in about 11 ms at 16384,
+# where it builds fewer chunks.  The full walk of the parity matrix of
+# `mds 64 5` peaks at 0.88 MB here and 1.45 MB at 16384, in about 6.5 ms.
 SCAN_CHUNK = 4096
 
 

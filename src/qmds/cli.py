@@ -18,6 +18,7 @@ from .gf import build_field
 from .linalg import dual, mds_verify
 from .pcode import in_puncture_code, puncture_direct, puncture_spectral, weight_spectrum
 from .qstab import (
+    NORM_TRIPLE_M,
     char2_q2plus2,
     conjecture_report,
     distance4_char2_report,
@@ -293,7 +294,7 @@ def cmd_conjectures(args, out) -> int:
     rows = conjecture_report(range(max(lo, 2), hi + 1), budget)
     if not rows:
         raise QmdsError(f"alphabet range {args.q!r} holds no supported alphabet")
-    ms = [m for m in (1, 2, 3, 4) if lo <= 2**m <= hi]
+    ms = [m for m in NORM_TRIPLE_M if lo <= 2**m <= hi]
     table = distance4_char2_report(ms, budget) if ms else []
     out.emit(_canonical({"pc_params": rows, "distance4_char2": table}))
     if any(r["verdict"] == "refuted" for r in rows):

@@ -22,7 +22,7 @@ the prefix tree of column subsets, at most SCAN_CHUNK nodes of a level at a
 time.  A node two levels above the leaves is expanded only when two of its
 remaining columns are parallel or one is zero, the only way it can have a
 dependent grandchild; on an MDS matrix no node passes, and the leaves'
-parents are never built.  The chunks of those nodes start small and grow,
+parents are never built.  The chunks of every level start small and grow,
 so a scan that stops at an early support builds few nodes.  batch_rank does
 not choose the supports a scan probes: it cross-checks each chunk the tree
 yields.  On a code closed under a twisted shift the same walk can keep to
@@ -30,8 +30,7 @@ one support per rotation orbit, the necklaces: the MDS check then walks
 only those, and a scan probes only those as long as its probes stay
 exhaustive.  A scan level asks which size-w support first carries a word of
 weight w, given the code and the subcode as uint8 parity matrices.  The
-supports of a chunk whose kernel is a line are settled together, in slices
-that grow over the level, so a scan that stops early settles few:
+supports of a chunk whose kernel is a line are settled together:
 kernel_lines reads their kernel vectors off one lockstep elimination, and
 probe_lines checks them against the parity matrix and the subcode by one
 syndrome product each.  Any other support gets a probe of its own, which
@@ -375,13 +374,14 @@ def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = Fals
     exactly when P[:, c] is zero.  A child keeps P after one rank-1 update
     that clears its column, minus the pivot row.  A dependent child gets
     P = 0 instead, so every completion of it is dependent in turn.  Children
-    are built in chunks of at most SCAN_CHUNK (or the children of one node,
-    if more), which bounds memory; the walk advances only as far as its
-    consumer reads.  The chunks of the nodes two levels above the leaves
-    start at SCAN_CHUNK // 64 instead and double, chunk after chunk over
-    the whole walk, up to SCAN_CHUNK: a consumer that stops at one of the
-    first supports has the walk build a few hundred nodes near the leaves,
-    not thousands, and a complete walk takes about six chunks more.
+    are built in chunks, each of the children of as many consecutive nodes
+    as fit in the chunk's size (or of one node, if more), which bounds
+    memory; the walk advances only as far as its consumer reads.  Each
+    depth has one chunk size, which starts at SCAN_CHUNK // 64 and doubles,
+    chunk after chunk over the whole walk, up to SCAN_CHUNK: a consumer
+    that stops at one of the first supports has the walk build a few dozen
+    nodes per depth, not thousands, and a complete walk takes about six
+    chunks more per depth.
 
     A child c of a node at depth size - 2 has a dependent child c' > c
     exactly when P[:, c] is zero or P[:, c'] is a multiple of it: when one
@@ -403,10 +403,9 @@ def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = Fals
     """
     n = mat.shape[1]
     cols = np.arange(n)
-    screened = max(1, SCAN_CHUNK // 64)  # the next chunk two levels above the leaves
+    limits = [max(1, SCAN_CHUNK // 64)] * size  # the next chunk of children, per depth
 
     def walk(j, pm, prefix, period):
-        nonlocal screened
         # child columns: after the last prefix column, and early enough to
         # leave room for the size - j - 1 columns still to come
         last = prefix[:, j - 1] if j else np.full(1, -1)
@@ -450,9 +449,8 @@ def dependent_supports(field, mat: np.ndarray, size: int, necklaces: bool = Fals
         start = 0
         while start < len(fan):
             base = fan[start - 1] if start else 0
-            limit = SCAN_CHUNK
-            if j == size - 3:
-                limit, screened = screened, min(2 * screened, SCAN_CHUNK)
+            limit = limits[j]
+            limits[j] = min(2 * limit, SCAN_CHUNK)
             stop = max(start + 1, int(np.searchsorted(fan, base + limit, side="right")))
             grow = kids[start:stop]
             if j == size - 2:
@@ -759,16 +757,14 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
     dependent leaves below at most SCAN_CHUNK parents, or below one node),
     and a support of full rank raises Contradiction.  The supports of rank
     w - 1 in the chunk, whose kernel is a line of one projective class, are
-    then settled by probe_lines, as probe_support would settle each, in
-    slices of consecutive such supports taken when the scan reaches the
-    first of them: the first SCAN_CHUNK // 64 of them, each slice after
-    twice the one before, over the whole level, so a level whose witness
+    then settled together by one probe_lines call, as probe_support would
+    settle each; the walk's chunks start small, so a level whose witness
     comes early settles few lines past it.  The others are probed one at a
     time, in the same lexicographic order, so the outcome is that of
     probing every support alone.  Above r every support is probed, and the
-    level stops unfinished once DENSE_SUPPORT_CAP probes are spent.  The probe of the support with
-    lexicographic index i samples with tag (w << 32) | i.  Witnesses come
-    back full length.
+    level stops unfinished once DENSE_SUPPORT_CAP probes are spent.  The
+    probe of the support with lexicographic index i samples with tag
+    (w << 32) | i.  Witnesses come back full length.
 
     rotations=True says the code is closed under a twisted shift, which
     maps the words on a support onto those on its rotation by one.  With no
@@ -785,21 +781,18 @@ def scan_level(field, parity, w, seed, *, sub=None, rotations=False):
     batched = projective_count(field.q, 1) <= SUBSCAN_EXACT_CAP
 
     def dependent(necklaces):
-        grow = max(1, SCAN_CHUNK // 64)  # the line supports the next slice settles
         for found in dependent_supports(field, parity, w, necklaces):
             ranks = batch_rank(field, parity[:, found].transpose(1, 0, 2))
             indep = np.flatnonzero(ranks == w)
             if len(indep):
                 bad = found[indep[0]].tolist()
                 raise Contradiction(f"support {bad} has independent parity columns")
-            lines = np.flatnonzero(ranks == w - 1).tolist() if batched else []
-            settled, at = {}, 0  # lines[:at] are settled
-            for i, support in enumerate(found.tolist()):
-                if at < len(lines) and lines[at] == i:
-                    part = lines[at:at + grow]
-                    settled.update(zip(part, probe_lines(field, parity, found[part], sub)))
-                    at, grow = at + len(part), 2 * grow
-                done = (settled[i], True) if i in settled else None
+            settled = [None] * len(found)
+            lines = np.flatnonzero(ranks == w - 1) if batched else []
+            if len(lines):
+                for i, vec in zip(lines.tolist(), probe_lines(field, parity, found[lines], sub)):
+                    settled[i] = vec, True
+            for support, done in zip(found.tolist(), settled):
                 yield lex_rank(n, support), support, done
 
     def probe(supports, cap):

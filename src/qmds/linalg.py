@@ -369,8 +369,6 @@ class WordSearch:
         self.sampled: tuple[int, int, int] | None = None
         # the outcome of each level scan run, by (w, seed): none runs twice
         self.scans: dict[tuple[int, int], kernels.ScanOutcome] = {}
-        # per budget decide has searched at: did the level scans go first
-        self.scans_first: dict[SearchBudget, bool] = {}
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -516,17 +514,18 @@ class WordSearch:
         """Whether a word of weight exactly w occurs.
 
         Routes in one fixed order: the verdicts found and absent already
-        hold, then enumeration when it is enumerable, then the search.  The
-        first time a budget reaches the search, its order is fixed for that
-        budget.  If the scan gate admits every open level (neither found
-        nor absent), each open level is scanned, in ascending order, before
-        the sampling pass that every weight shares (it runs once per
-        budget).  The pass then hunts only the weights the scans left open,
-        and draws nothing once they settled them all.  Otherwise the pass
-        goes first, and the level-w scan runs only when the pass did not
-        find w.  A weight that an earlier call settled by scan reports that
-        scan's supports_scanned along with the cache.  The answer is the
-        same whether w is asked alone or after other weights.
+        hold, then enumeration when it is enumerable, then the search,
+        whose order depends on the code and the budget alone.  C(n, v)
+        peaks at v = n // 2, so the scan gate admits every level exactly
+        when it admits that one.  Then each open level (neither found nor
+        absent) is scanned, in ascending order, before the sampling pass
+        that every weight shares (it runs once per budget).  The pass then
+        hunts only the weights the scans left open, and draws nothing once
+        they settled them all.  Otherwise the pass goes first, and the
+        level-w scan runs only when the pass did not find w.  A weight that
+        an earlier call settled by scan reports that scan's supports_scanned
+        along with the cache.  The answer is the same whether w is asked
+        alone or after other weights.
         """
         if not (1 <= w <= self.code.n):
             raise BadWeight(f"weight {w} outside 1..{self.code.n}")
@@ -541,13 +540,11 @@ class WordSearch:
             self.enumerate()
             effort = {"enumerated": True}
         else:
-            levels = [v for v in range(1, self.code.n + 1)
-                      if v not in self.found and v not in self.absent]
-            first = self.scans_first.setdefault(
-                budget, all(self.admits(v, budget) for v in levels))
+            first = self.admits(self.code.n // 2, budget)
             if first:
-                for v in levels:
-                    self.scan(v, budget)
+                for v in range(1, self.code.n + 1):
+                    if v not in self.found and v not in self.absent:
+                        self.scan(v, budget)
             self.sample(budget, tag=0x77)
             out = self.scan(w, budget) if first or w not in self.found else None
             effort = {} if out is None else {"supports_scanned": out.supports_scanned}

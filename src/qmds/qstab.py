@@ -346,6 +346,10 @@ def family_q2plus1(
     return FamilyScan(q, d, spec, family.floor, pc, presence, records, witnesses, guaranteed)
 
 
+# the norm-triple construction's alphabets q = 2**m
+NORM_TRIPLE_M = range(1, 5)
+
+
 def norm_triple_code(m: int) -> tuple[np.ndarray, FamilyCode]:
     """H and the family code of the norm-triple construction: the
     length-q**2+2 code C over GF(q**2), q = 2**m, with its P(C).
@@ -356,8 +360,9 @@ def norm_triple_code(m: int) -> tuple[np.ndarray, FamilyCode]:
     defines; P(C) comes by the direct route.  Records settled from it
     inherit no floor.
     """
-    if not (1 <= m <= 4):
-        raise UnsupportedAlphabet(f"alphabet 2**m needs 1 <= m <= 4, got {m}")
+    if m not in NORM_TRIPLE_M:
+        lo, hi = NORM_TRIPLE_M[0], NORM_TRIPLE_M[-1]
+        raise UnsupportedAlphabet(f"alphabet 2**m needs {lo} <= m <= {hi}, got {m}")
     big = build_field(2, 2 * m)
     q = 2**m
     n = q * q + 2
@@ -420,9 +425,9 @@ def char2_q2plus2(m: int, budget: SearchBudget = DEFAULT_BUDGET):
 
 def witness_family(q: int, d: int, n: int) -> FamilyCode:
     """The family code a witness of [[n, ., d]]_q rescales: the norm-triple
-    code for n = q**2 + 2 and d = 4 over q = 2, 4, 8, 16, else the
+    code for n = q**2 + 2 and d = 4 over its alphabets, else the
     pipeline code of (q, d)."""
-    if q in (2, 4, 8, 16) and (n, d) == (q * q + 2, 4):
+    if q in [2**m for m in NORM_TRIPLE_M] and (n, d) == (q * q + 2, 4):
         return norm_triple_code(q.bit_length() - 1)[1]
     return pipeline_code(q, d)[1]
 
@@ -584,7 +589,7 @@ def figdata(q: int, budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple]:
         for rec in scan.records:
             put(d, rec.n, _status_of(rec))
             derived.append(rec)
-    if q in (2, 4, 8):
+    if q in [2**m for m in NORM_TRIPLE_M]:
         m = q.bit_length() - 1
         params, _, _, _ = char2_q2plus2(m, budget)
         put(4, params.n, _status_of(params))

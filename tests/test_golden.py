@@ -75,7 +75,11 @@ e563203a...), `--budget-enum 10 --budget-samples 1000 weights 4 3`
 1ed0bc84...).  Neither `qmds 5 4` case runs the full pass any more: at
 the default seed the scans settle every level and the pass draws nothing,
 and at seed 7 it draws one chunk, for the weight 26 that the level's one
-sampled probe missed.
+sampled probe missed.  The last one was recorded at commit 4eda9bd, before
+decide read its route order off the scan gate at the middle level and the
+walk grew its chunks from small at every depth: `qmds 5 5` at the default
+budget runs the pass first, then scans the complete levels 8-11 and level
+12, which stops at an early witness.
 """
 
 import hashlib
@@ -188,6 +192,9 @@ GOLDEN = [
     # the full default sampling pass where the scan gate admits no level
     (("--budget-support", "0", "qmds", "5", "4"),
      "b90ba41919b48709539eb3fa88663bbcb041a78f82a0f8d54ffe540f23bec855", 3),
+    # the pass ahead of the level scans where the gate refuses the middle level
+    (("qmds", "5", "5"),
+     "433785451bf6c5beab6aa5b9e65a54cc499808eba104932c35c72d749cbeb08e", 0),
 ]
 
 # Witnesses as `qmds 3 4` (weight 10) and `q2p2 2` print them, each with the

@@ -1152,20 +1152,42 @@ def test_scan_builds_few_leaves_before_an_early_witness(monkeypatch):
     assert 0 < sum(low) <= 600
 
 
+@pytest.mark.parametrize("necklaces", [False, True])
+@pytest.mark.parametrize("w", [7, 8, 9])
+def test_walk_chunks_start_small_at_every_depth(monkeypatch, w, necklaces):
+    """The walk's chunks of children start at SCAN_CHUNK // 64 at every
+    depth, so the first dependent support of the (5, 4) P(C) = [26, 17]
+    comes out of small chunks all the way down: each depth's first chunk
+    holds at most that many nodes, or the children of one node if more."""
+    code = spectral_pc(5, 4)
+    f, parity = code.field, code.parity_matrix
+    r = len(parity)
+    first = {}
+    clear = kernels._clear_column
+
+    def recorded(field, pm, node, col):
+        first.setdefault(r - pm.shape[1] + 1, len(node))  # the depth of the children
+        return clear(field, pm, node, col)
+
+    monkeypatch.setattr(kernels, "_clear_column", recorded)
+    assert len(next(dependent_supports(f, parity, w, necklaces)))
+    assert sorted(first) == list(range(1, w))
+    assert max(first.values()) <= max(SCAN_CHUNK // 64, code.n - w + 1), first
+
+
 def test_line_probes_stop_at_the_witness(monkeypatch):
     """At w = 9 = r the (5, 4) P(C) = [26, 17] carries a word on its 37th
-    support, and the necklace walk yields that support in a chunk of 466
-    supports whose kernel is a line.  The scan settles them in slices that
-    grow from SCAN_CHUNK // 64, so probe_lines gets the first slice alone,
-    and the outcome is that of probing the chunk's supports one at a time
-    with probe_support."""
+    support, which the necklace walk yields in its first chunk.  The scan
+    settles that chunk's supports whose kernel is a line, and no more, by
+    one probe_lines call, and the outcome is that of probing the chunk's
+    supports one at a time with probe_support."""
     sizes = checked_batches(monkeypatch)
     code = spectral_pc(5, 4)
     f, parity = code.field, code.parity_matrix
     w = len(parity)
     chunk = next(dependent_supports(f, parity, w, necklaces=True))
     ranks = batch_rank(f, parity[:, chunk].transpose(1, 0, 2))
-    assert np.count_nonzero(ranks == w - 1) == 466
+    lines = np.count_nonzero(ranks == w - 1)
     for support in chunk.tolist():
         vec, _ = probe_support(f, parity, support, None, 0, 0)
         if vec is not None:
@@ -1176,7 +1198,7 @@ def test_line_probes_stop_at_the_witness(monkeypatch):
     assert out.supports_scanned == lex_rank(code.n, support) + 1 == 37
     assert out.witness == tuple(full.tolist())
     assert not out.completed and not out.exhaustive
-    assert sizes == [SCAN_CHUNK // 64]
+    assert sizes == [lines] and lines == 63
 
 
 @pytest.mark.parametrize("f", [F2, F3, F5, F7, F11, F4, F9, F64], ids=repr)

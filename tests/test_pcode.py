@@ -316,6 +316,27 @@ def test_level_scans_go_first_where_the_gate_admits_every_level(monkeypatch):
     assert any("samples" in r.effort for r in sampled)
 
 
+@pytest.mark.parametrize("samples", [200, 500, 1000, 3000])
+def test_route_order_does_not_depend_on_earlier_budgets(samples):
+    """decide's route order depends on the code and the budget alone.  On
+    the (4, 3) P(C) = [17, 13], support C(17, 8) * 4**3 - 1 refuses the
+    middle levels 8 and 9 and admits every other one, so the pass goes
+    first.  A search whose pass at an earlier budget may have found those
+    levels must still answer every level it left open as a fresh search
+    does."""
+    spec = mds_spec(16, 3)
+    early = SearchBudget(enum=10, support=0, samples=samples, seed=7)
+    later = SearchBudget(enum=10, support=math.comb(17, 8) * 4**3 - 1, samples=10**5, seed=7)
+    pc = puncture_spectral(spec)
+    left = [r.weight for r in weight_spectrum(pc, None, early)
+            if r.verdict == "UnknownWithinBudget"]
+    assert left
+    fresh = weight_spectrum(puncture_spectral(spec), None, later)
+    for w in left:
+        res = weight_present(pc, w, later)
+        assert (res.verdict, res.witness) == (fresh[w - 1].verdict, fresh[w - 1].witness), w
+
+
 def test_spectrum_after_lowest_keeps_every_verdict():
     # lowest samples under its own tag; the spectrum's pass must still run
     budget = SearchBudget(enum=1, support=0, samples=300, seed=7)
